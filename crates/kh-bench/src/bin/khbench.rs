@@ -1588,8 +1588,7 @@ fn cmd_scenario_reliability(flags: &HashMap<String, String>) -> Option<()> {
         render_scenario_reliability, scenario_reliability, ReliabilityPolicy,
         ScenarioReliabilityRow,
     };
-    use kh_workloads::adaptive::AdaptivePolicy;
-    use kh_workloads::svcload::{RetryPolicy, SvcLoadConfig};
+    use kh_workloads::svcload::SvcLoadConfig;
 
     let quick = flags.contains_key("quick");
     let nodes: usize = flags
@@ -1627,9 +1626,10 @@ fn cmd_scenario_reliability(flags: &HashMap<String, String>) -> Option<()> {
     // adaptive arm sheds nothing the static arm keeps (gate 2).
     let interarrival_us = 2500;
     let clients = (nodes / 2).max(1);
-    let victim = (clients + (nodes - clients) / 2) as u16; // middle of the server half
-    // Mid-scenario: the VM dies at 40% of the window, with enough
-    // runway left for detection, restart, and the drained backlog.
+    // The victim sits in the middle of the server half. Mid-scenario:
+    // the VM dies at 40% of the window, with enough runway left for
+    // detection, restart, and the drained backlog.
+    let victim = (clients + (nodes - clients) / 2) as u16;
     let crash_ms = svcload.duration.as_nanos() * 2 / 5 / 1_000_000;
     let mut faults: Vec<(String, Option<String>)> = vec![
         ("no-faults".to_string(), None),
@@ -1663,16 +1663,7 @@ fn cmd_scenario_reliability(flags: &HashMap<String, String>) -> Option<()> {
     };
     let run_grid = |workers: usize| -> Vec<ScenarioReliabilityRow> {
         kh_core::pool::set_jobs(workers);
-        scenario_reliability(
-            nodes,
-            seed,
-            svcload,
-            &faults,
-            &depths,
-            interarrival_us,
-            RetryPolicy::default(),
-            AdaptivePolicy::default(),
-        )
+        scenario_reliability(nodes, seed, svcload, &faults, &depths, interarrival_us)
     };
 
     // Gate 1 — determinism: --jobs 1, 2, and N plus a same-seed rerun

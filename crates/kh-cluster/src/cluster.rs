@@ -7,30 +7,26 @@
 //! across the server-stack comparison — the ablation measures the
 //! servers, nothing else.
 //!
-//! The shared [`EventQueue`] carries only cross-node events (request
-//! arrivals and fabric deliveries); per-node OS noise lives in each
-//! node's own lazily-advanced cursor (see [`crate::node`]). That split
-//! is what makes the run order-independent: processing a Deliver for
-//! node 3 never consumes randomness belonging to node 5.
+//! [`run`] hands every config to the one executor in
+//! [`crate::scenario`]. Its shared event queue carries only cross-node
+//! events (request arrivals, fabric deliveries, timers); per-node OS
+//! noise lives in each node's own lazily-advanced cursor (see
+//! [`crate::node`]). That split is what makes the run
+//! order-independent: processing a Deliver for node 3 never consumes
+//! randomness belonging to node 5.
 
-use crate::fabric::{Fabric, FabricStats, FrameSlab, DEFAULT_QUEUE_DEPTH};
-use crate::node::{AdmissionPolicy, Node, NodeStats, Role};
-use crate::scenario::ScenarioStats;
+use crate::fabric::{FabricStats, DEFAULT_QUEUE_DEPTH};
+use crate::node::{AdmissionPolicy, NodeStats, Role};
+use crate::scenario::{execute, ScenarioStats, StreamPlan};
 use kh_arch::platform::Platform;
 use kh_core::config::StackKind;
 use kh_metrics::hist::LogHistogram;
 use kh_metrics::outcome::OutcomeCounters;
-use kh_metrics::quantile::WindowedQuantile;
 use kh_metrics::table::Table;
 use kh_scenario::Scenario;
-use kh_sim::{EventQueue, FabricFaultPlan, FabricFaultSpec, FabricFaultStats, Nanos, SimRng};
-use kh_virtio::LinkProfile;
-use kh_workloads::adaptive::{AdaptivePolicy, CircuitBreaker, RetryBudget};
-use kh_workloads::svcload::{
-    corrupt_frame_payload, decode_frame, nack_frame_into, request_frame_into, response_frame_into,
-    retry_seed, Arrivals, FrameError, FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
-    SvcLoadConfig,
-};
+use kh_sim::{FabricFaultSpec, FabricFaultStats, Nanos};
+use kh_workloads::adaptive::AdaptivePolicy;
+use kh_workloads::svcload::{RequestOutcome, RetryPolicy, SvcLoadConfig};
 
 pub use crate::node::DEFAULT_ADMISSION_LIMIT;
 
@@ -72,8 +68,8 @@ pub struct ClusterConfig {
     pub detect_latency: Nanos,
     /// Service-core time a restart costs (stage-2 rebuild, reboot).
     pub restart_cost: Nanos,
-    /// Traffic scenario. When set, [`run`] dispatches to the multi-tier
-    /// executor in [`crate::scenario`] instead of the svcload loop.
+    /// Traffic scenario. None runs svcload: open-loop arrivals, one
+    /// fixed-phase serve per request, no backend tier.
     pub scenario: Option<Scenario>,
     /// Run the remote-attestation handshake ([`crate::attest`]) at
     /// bring-up, before any traffic. Nodes whose evidence fails the
@@ -221,706 +217,16 @@ pub struct ClusterReport {
     pub elapsed: Nanos,
 }
 
-enum Ev {
-    /// A client's open-loop generator fires.
-    Arrival { client: u16 },
-    /// A frame exits the fabric at `dst`'s NIC.
-    Deliver { dst: u16, frame: Vec<u8> },
-    /// Backoff timer: retransmit request `id` unless it resolved.
-    Retry { id: u64 },
-    /// Hedge timer: duplicate request `id` unless it resolved.
-    Hedge { id: u64 },
-    /// Request `id`'s deadline expires.
-    Deadline { id: u64 },
-    /// The `crashsvc` fault kills `node`'s service VM.
-    CrashSvc { node: u16 },
-    /// `node`'s primary detected the dead secondary; drive restart.
-    RestartSvc { node: u16 },
-}
-
-/// Client-side in-flight state for one request, indexed by id.
-struct ReqState {
-    server: u16,
-    /// First-send time; every retransmission echoes it so latency is
-    /// end-to-end from the original send.
-    sent: Nanos,
-    deadline_at: Nanos,
-    /// Seeded jittered backoff delays still unconsumed.
-    backoff: Vec<Nanos>,
-    next_backoff: usize,
-    /// Attempt index the hedge transmission used, if one was sent.
-    hedge_attempt: Option<u8>,
-    nack_seen: bool,
-    corrupt_seen: bool,
-    done: bool,
-}
-
-/// Send one (re)transmission of a request through the client NIC and
-/// the fabric, applying the corrupt gate's byte-flip on delivery.
-/// Frame payloads come from (and return to) `slab`: a dropped frame's
-/// buffer is recycled instead of freed.
-#[allow(clippy::too_many_arguments)]
-fn transmit_request(
-    cfg: &ClusterConfig,
-    nodes: &mut [Node],
-    fabric: &mut Fabric,
-    slab: &mut FrameSlab,
-    q: &mut EventQueue<Ev>,
-    st: &ReqState,
-    id: u64,
-    client: u16,
-    attempt: u8,
-    now: Nanos,
-    horizon: Nanos,
-) {
-    let mut frame = slab.take();
-    request_frame_into(&cfg.svcload, id, client, st.sent, attempt, &mut frame);
-    let enter = nodes[client as usize].send(now, &frame, horizon);
-    if let Some(d) = fabric.transit(client, st.server, frame.len() as u64, enter) {
-        if let Some(salt) = d.corrupt_salt {
-            corrupt_frame_payload(&mut frame, salt);
-        }
-        q.schedule_at(
-            d.at,
-            Ev::Deliver {
-                dst: st.server,
-                frame,
-            },
-        );
-    } else {
-        slab.put(frame);
-    }
-}
-
-/// Run the svcload workload over a freshly booted cluster.
+/// Run `cfg` over a freshly booted cluster.
 ///
-/// With `cfg.scenario` set, dispatches to the multi-tier executor
-/// instead; everything below is the single-tier svcload loop.
+/// Every run goes through the one executor in [`crate::scenario`]. A
+/// config without a scenario is svcload, lowered to a depth-0 scenario
+/// (one leg per request, served by its frontend alone) that keeps
+/// svcload's arrival generator and stream roots.
 pub fn run(cfg: &ClusterConfig) -> ClusterReport {
-    if let Some(scn) = &cfg.scenario {
-        return crate::scenario::run_scenario(cfg, scn);
-    }
-    let clients = cfg.clients();
-    let servers = cfg.servers();
-    let total = clients + servers;
-    // Everything in flight must land before noise accounting stops;
-    // requests arrive only inside `duration`, so one extra window of
-    // slack comfortably covers queued tails.
-    let horizon = cfg.svcload.duration + cfg.svcload.duration + Nanos::from_millis(50);
-
-    // Seed fan-out: one stream label space for nodes, one for arrival
-    // generators, all split off the run seed.
-    let mut node_seeds = SimRng::new(cfg.seed ^ 0x6B68_636C_7573); // "khclus"
-    let mut nodes: Vec<Node> = (0..total)
-        .map(|i| {
-            let role = if i < clients {
-                Role::Client
-            } else {
-                Role::Server
-            };
-            let stack = match role {
-                Role::Client => StackKind::HafniumKitten,
-                Role::Server => cfg.server_stack,
-            };
-            Node::new(
-                i as u16,
-                role,
-                stack,
-                cfg.platform,
-                node_seeds.split(i as u64).next_u64(),
-            )
-        })
-        .collect();
-    let mut arrival_seeds = SimRng::new(cfg.seed ^ 0x6B68_6172_7276); // "kharrv"
-    let mut arrivals: Vec<Arrivals> = (0..clients)
-        .map(|c| Arrivals::new(&cfg.svcload, arrival_seeds.split(c as u64).next_u64()))
-        .collect();
-
-    let mut fabric = Fabric::new(
-        LinkProfile::from_platform(&cfg.platform),
-        cfg.queue_depth,
-        total,
-    );
-    if let Some((spec, fault_seed)) = &cfg.faults {
-        fabric.faults = FabricFaultPlan::new(spec, *fault_seed);
-    }
-
-    // Attestation happens at bring-up, before the first arrival: every
-    // node sweeps its peers, and anyone whose evidence fails the
-    // registry is quarantined for the whole run. The handshake draws
-    // from its own stream roots and mutates no node, so arming it (or
-    // a tamper clause) leaves every other stream byte-identical.
-    let attestation = cfg.attest.then(|| {
-        crate::attest::handshake(
-            &nodes,
-            cfg.seed,
-            fabric.faults.tampered_nodes(),
-            &LinkProfile::from_platform(&cfg.platform),
-        )
-    });
-    let quarantined: Vec<u16> = attestation
-        .as_ref()
-        .map(|a| a.quarantined.clone())
-        .unwrap_or_default();
-
-    let phase = cfg.svcload.service_phase();
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    let mut slab = FrameSlab::new();
-    // Open-loop arrivals are filed a batch at a time: each client keeps
-    // `ARRIVAL_BATCH` future arrivals in the queue and refills when the
-    // last one fires, amortising generator re-entry across K events.
-    let mut arrival_buf: Vec<Nanos> = Vec::with_capacity(ARRIVAL_BATCH);
-    let mut outstanding: Vec<usize> = vec![0; clients];
-    for (c, gen) in arrivals.iter_mut().enumerate().take(clients) {
-        arrival_buf.clear();
-        let n = gen.next_arrivals(ARRIVAL_BATCH, &mut arrival_buf);
-        for &t in &arrival_buf[..n] {
-            q.schedule_at(t, Ev::Arrival { client: c as u16 });
-        }
-        outstanding[c] = n;
-    }
-    // Scheduled service-VM crashes become events; each is detected and
-    // recovered by the node's own primary, on the cluster clock.
-    for e in fabric.faults.svc_crash_events().to_vec() {
-        q.schedule_at(e.at, Ev::CrashSvc { node: e.node });
-    }
-    // The retry layer draws per-request jitter from its own stream root,
-    // split off the run seed like every other stream — arming it never
-    // perturbs arrivals, noise, or fabric fault draws.
-    let retry_root = SimRng::new(cfg.seed ^ 0x6B68_7274_7279).next_u64(); // "khrtry"
-
-    // The adaptive layer: deadline/backoff semantics come from its
-    // embedded base policy; hedging, budgets, breakers, and admission
-    // are its own. Breaker reopen jitter rides a dedicated stream per
-    // destination ("khbrkr"), so arming adaptivity perturbs nothing.
-    let base_retry: Option<RetryPolicy> = cfg.adaptive.map(|a| a.retry).or(cfg.retry);
-    let admission = match &cfg.adaptive {
-        Some(a) => AdmissionPolicy::CoDel {
-            target: a.codel_target,
-            interval: a.codel_interval,
-        },
-        None => cfg.admission,
-    };
-    struct DestState {
-        tracker: WindowedQuantile,
-        budget: RetryBudget,
-        breaker: CircuitBreaker,
-    }
-    let mut dest_state: Vec<DestState> = match &cfg.adaptive {
-        Some(a) => {
-            let mut breaker_seeds = SimRng::new(cfg.seed ^ 0x6B68_6272_6B72); // "khbrkr"
-            (0..total)
-                .map(|i| DestState {
-                    tracker: WindowedQuantile::new(a.window),
-                    budget: RetryBudget::new(a.budget_percent, a.budget_burst),
-                    breaker: CircuitBreaker::new(
-                        a.breaker_threshold,
-                        a.breaker_open_base,
-                        a.breaker_jitter,
-                        breaker_seeds.split(i as u64),
-                    ),
-                })
-                .collect()
-        }
-        None => Vec::new(),
-    };
-
-    let mut records: Vec<RequestRecord> = Vec::new();
-    let mut states: Vec<ReqState> = Vec::new();
-    let mut latency = LogHistogram::for_latency();
-    let mut rel = ReliabilityStats::default();
-    let mut recoveries: Vec<RecoveryRecord> = Vec::new();
-    let mut sent = 0u64;
-    let mut completed = 0u64;
-
-    while let Some(ev) = q.pop_next() {
-        let now = ev.at;
-        match ev.payload {
-            Ev::Arrival { client } => {
-                // Keep the generator open-loop: when this batch's last
-                // arrival fires, the next batch is filed before this
-                // request does anything.
-                let c = client as usize;
-                outstanding[c] -= 1;
-                if outstanding[c] == 0 {
-                    arrival_buf.clear();
-                    let n = arrivals[c].next_arrivals(ARRIVAL_BATCH, &mut arrival_buf);
-                    for &t in &arrival_buf[..n] {
-                        q.schedule_at(t, Ev::Arrival { client });
-                    }
-                    outstanding[c] = n;
-                }
-                let id = records.len() as u64;
-                let server = (clients + (client as usize % servers)) as u16;
-                if quarantined.contains(&server) {
-                    // The target failed attestation: the client refuses
-                    // to transmit. Terminal immediately — no frame, no
-                    // retry timers, no service work anywhere.
-                    records.push(RequestRecord {
-                        id,
-                        client,
-                        server,
-                        sent: now,
-                        completed: None,
-                        attempts: 0,
-                        outcome: RequestOutcome::Refused,
-                        tier: 0,
-                        fanout: 0,
-                    });
-                    states.push(ReqState {
-                        server,
-                        sent: now,
-                        deadline_at: Nanos::MAX,
-                        backoff: Vec::new(),
-                        next_backoff: 0,
-                        hedge_attempt: None,
-                        nack_seen: false,
-                        corrupt_seen: false,
-                        done: true,
-                    });
-                    sent += 1;
-                    continue;
-                }
-                records.push(RequestRecord {
-                    id,
-                    client,
-                    server,
-                    sent: now,
-                    completed: None,
-                    attempts: 1,
-                    // Placeholder until a terminal outcome resolves it.
-                    outcome: RequestOutcome::Failed,
-                    tier: 0,
-                    fanout: 0,
-                });
-                sent += 1;
-                let mut st = ReqState {
-                    server,
-                    sent: now,
-                    deadline_at: Nanos::MAX,
-                    backoff: Vec::new(),
-                    next_backoff: 0,
-                    hedge_attempt: None,
-                    nack_seen: false,
-                    corrupt_seen: false,
-                    done: false,
-                };
-                if let Some(policy) = &base_retry {
-                    st.deadline_at = now + policy.deadline;
-                    st.backoff = policy.backoff_schedule(retry_seed(retry_root, id));
-                    q.schedule_at(st.deadline_at, Ev::Deadline { id });
-                    if let Some(first) = st.backoff.first() {
-                        let at = now + *first;
-                        if at < st.deadline_at {
-                            q.schedule_at(at, Ev::Retry { id });
-                        }
-                        st.next_backoff = 1;
-                    }
-                    // Static policy: hedge at the frozen configured
-                    // delay. Adaptive: hedge at the destination's live
-                    // hedge-quantile latency, and only once the tracker
-                    // has seen enough completions to know the
-                    // distribution — the cold-start guard that replaces
-                    // the frozen baseline.
-                    let hedge_delay = match &cfg.adaptive {
-                        Some(a) => {
-                            let d = &dest_state[server as usize];
-                            if d.tracker.recorded() >= a.hedge_min_samples {
-                                let (qn, qd) = a.hedge_quantile;
-                                d.tracker
-                                    .quantile(qn, qd)
-                                    .map(|v| Nanos(v).max(a.hedge_floor))
-                            } else {
-                                None
-                            }
-                        }
-                        None => policy.hedge_delay,
-                    };
-                    if let Some(h) = hedge_delay {
-                        let at = now + h;
-                        if at < st.deadline_at {
-                            q.schedule_at(at, Ev::Hedge { id });
-                        }
-                    }
-                }
-                if cfg.adaptive.is_some() {
-                    // First sends are never gated; they earn budget.
-                    dest_state[server as usize].budget.on_send();
-                }
-                transmit_request(
-                    cfg,
-                    &mut nodes,
-                    &mut fabric,
-                    &mut slab,
-                    &mut q,
-                    &st,
-                    id,
-                    client,
-                    0,
-                    now,
-                    horizon,
-                );
-                states.push(st);
-            }
-            Ev::Retry { id } => {
-                let rec = &mut records[id as usize];
-                let st = &mut states[id as usize];
-                let max = base_retry.as_ref().map(|p| p.max_attempts).unwrap_or(1);
-                if st.done || now >= st.deadline_at {
-                    continue;
-                }
-                // The backoff timer firing means the outstanding
-                // attempt went unanswered — the breaker's failure
-                // signal, whether or not a retransmit follows.
-                if cfg.adaptive.is_some() {
-                    dest_state[st.server as usize].breaker.on_timeout(now);
-                }
-                if rec.attempts >= max {
-                    continue;
-                }
-                // Chain the next backoff timer off this instant whether
-                // or not this retransmit is allowed out: a suppressed
-                // attempt must leave the request a later chance (e.g. a
-                // breaker probe after the cooldown).
-                if let Some(delay) = st.backoff.get(st.next_backoff).copied() {
-                    st.next_backoff += 1;
-                    let at = now + delay;
-                    if at < st.deadline_at {
-                        q.schedule_at(at, Ev::Retry { id });
-                    }
-                }
-                if cfg.adaptive.is_some() {
-                    let d = &mut dest_state[st.server as usize];
-                    if !d.breaker.allow_attempt(now) || !d.budget.try_spend() {
-                        rel.retries_suppressed += 1;
-                        continue;
-                    }
-                }
-                let attempt = rec.attempts as u8;
-                rec.attempts += 1;
-                rel.retransmits += 1;
-                let client = rec.client;
-                let st = &states[id as usize];
-                transmit_request(
-                    cfg,
-                    &mut nodes,
-                    &mut fabric,
-                    &mut slab,
-                    &mut q,
-                    st,
-                    id,
-                    client,
-                    attempt,
-                    now,
-                    horizon,
-                );
-            }
-            Ev::Hedge { id } => {
-                let rec = &mut records[id as usize];
-                let st = &mut states[id as usize];
-                let max = base_retry.as_ref().map(|p| p.max_attempts).unwrap_or(1);
-                if st.done || now >= st.deadline_at || rec.attempts >= max {
-                    continue;
-                }
-                if cfg.adaptive.is_some() {
-                    let d = &mut dest_state[st.server as usize];
-                    if !d.breaker.allow_attempt(now) || !d.budget.try_spend() {
-                        rel.hedges_suppressed += 1;
-                        continue;
-                    }
-                }
-                let attempt = rec.attempts as u8;
-                rec.attempts += 1;
-                rel.hedges += 1;
-                st.hedge_attempt = Some(attempt);
-                let client = rec.client;
-                let st = &states[id as usize];
-                transmit_request(
-                    cfg,
-                    &mut nodes,
-                    &mut fabric,
-                    &mut slab,
-                    &mut q,
-                    st,
-                    id,
-                    client,
-                    attempt,
-                    now,
-                    horizon,
-                );
-            }
-            Ev::Deadline { id } => {
-                let st = &mut states[id as usize];
-                if st.done {
-                    continue;
-                }
-                st.done = true;
-                // A deadline expiring in silence (no NACK, no corrupt
-                // reply attributable) is a timeout signal too; a shed
-                // or corrupt story proves the destination reachable.
-                if cfg.adaptive.is_some() && !st.nack_seen && !st.corrupt_seen {
-                    dest_state[st.server as usize].breaker.on_timeout(now);
-                }
-                records[id as usize].outcome = if st.nack_seen {
-                    RequestOutcome::Shed
-                } else if st.corrupt_seen {
-                    RequestOutcome::Corrupt
-                } else {
-                    RequestOutcome::DeadlineExceeded
-                };
-            }
-            Ev::CrashSvc { node } => {
-                let n = node as usize;
-                if n >= nodes.len() || nodes[n].role != Role::Server || nodes[n].is_crashed() {
-                    continue;
-                }
-                fabric.faults.note_svc_crash();
-                nodes[n].crash_svc(now, horizon);
-                recoveries.push(RecoveryRecord {
-                    node,
-                    crashed_at: now,
-                    detected_at: now + cfg.detect_latency,
-                    recovered_at: Nanos::MAX,
-                });
-                q.schedule_at(now + cfg.detect_latency, Ev::RestartSvc { node });
-            }
-            Ev::RestartSvc { node } => {
-                let up = nodes[node as usize].restart_svc(now, cfg.restart_cost, horizon);
-                if let Some(r) = recoveries
-                    .iter_mut()
-                    .rev()
-                    .find(|r| r.node == node && r.recovered_at == Nanos::MAX)
-                {
-                    r.recovered_at = up;
-                }
-            }
-            Ev::Deliver { dst, mut frame } => {
-                let decoded = decode_frame(&frame);
-                if nodes[dst as usize].role == Role::Server {
-                    match decoded {
-                        Ok(FrameHeader {
-                            id,
-                            client,
-                            sent: sent_at,
-                            kind: FrameKind::Request,
-                            attempt,
-                        }) => {
-                            let node = &mut nodes[dst as usize];
-                            if node.is_crashed() {
-                                // The NIC died with the VM: nothing to
-                                // receive into. The client's retry path
-                                // (or deadline) owns recovery.
-                                node.stats.crash_drops += 1;
-                                rel.crash_drops += 1;
-                                slab.put(frame);
-                                continue;
-                            }
-                            // Request lands at the server: RX copy, dedupe
-                            // check, admission check, queue for the service
-                            // core, compute, then answer (response or NACK)
-                            // back through the fabric. The reply is encoded
-                            // into the request's own delivered buffer — the
-                            // slab keeps one payload allocation per in-flight
-                            // frame, not one per encode.
-                            let ready = node.receive(now, &frame, horizon);
-                            let depart = if let Some(done) = node.cached_response(id) {
-                                // A duplicate attempt (hedge/retransmit) of a
-                                // request this server already admitted:
-                                // replay the cached answer — at-most-once
-                                // execution against the client's
-                                // at-least-once transmission. It never
-                                // consumes an admission slot or a second
-                                // service, so duplicates cannot shed or feed
-                                // the congestion loop. The replay departs no
-                                // earlier than this RX finished and no
-                                // earlier than the original service did.
-                                rel.dups_absorbed += 1;
-                                response_frame_into(
-                                    &cfg.svcload,
-                                    id,
-                                    client,
-                                    sent_at,
-                                    attempt,
-                                    &mut frame,
-                                );
-                                ready.max(done)
-                            } else if node.admit_with(ready, &admission) {
-                                let done = node.serve(ready, &phase, horizon);
-                                node.note_served(id, done);
-                                response_frame_into(
-                                    &cfg.svcload,
-                                    id,
-                                    client,
-                                    sent_at,
-                                    attempt,
-                                    &mut frame,
-                                );
-                                done
-                            } else {
-                                rel.nacks_sent += 1;
-                                nack_frame_into(id, client, sent_at, attempt, &mut frame);
-                                ready
-                            };
-                            let enter = node.send(depart, &frame, horizon);
-                            if let Some(d) = fabric.transit(dst, client, frame.len() as u64, enter)
-                            {
-                                if let Some(salt) = d.corrupt_salt {
-                                    corrupt_frame_payload(&mut frame, salt);
-                                }
-                                q.schedule_at(d.at, Ev::Deliver { dst: client, frame });
-                            } else {
-                                slab.put(frame);
-                            }
-                        }
-                        Ok(_) => {
-                            // response/NACK routed to a server: unreachable
-                            slab.put(frame);
-                        }
-                        Err(_) => {
-                            // Mangled request: the RX path still pays the copy,
-                            // then the checksum rejects it. The client's retry
-                            // path (or deadline) owns recovery.
-                            rel.corrupt_rx += 1;
-                            if !nodes[dst as usize].is_crashed() {
-                                let _ = nodes[dst as usize].receive(now, &frame, horizon);
-                            }
-                            slab.put(frame);
-                        }
-                    }
-                } else {
-                    // A reply lands back at the client.
-                    match decoded {
-                        Ok(h) => {
-                            let done = nodes[dst as usize].receive(now, &frame, horizon);
-                            slab.put(frame);
-                            let st = &mut states[h.id as usize];
-                            if st.done {
-                                continue; // duplicate answer after resolution
-                            }
-                            match h.kind {
-                                FrameKind::Response => {
-                                    st.done = true;
-                                    let lat = done.saturating_sub(h.sent);
-                                    if cfg.adaptive.is_some() {
-                                        // Feed the live distribution and
-                                        // clear the breaker's streak.
-                                        let d = &mut dest_state[st.server as usize];
-                                        d.tracker.record(lat.as_nanos().max(1));
-                                        d.breaker.on_success();
-                                    }
-                                    latency.record(lat.as_nanos().max(1) as f64);
-                                    nodes[dst as usize]
-                                        .latency_hist
-                                        .record(lat.as_nanos().max(1) as f64);
-                                    let rec = &mut records[h.id as usize];
-                                    rec.completed = Some(done);
-                                    rec.outcome = if st.hedge_attempt == Some(h.attempt) {
-                                        RequestOutcome::OkHedged { attempt: h.attempt }
-                                    } else {
-                                        RequestOutcome::Ok { attempt: h.attempt }
-                                    };
-                                    completed += 1;
-                                }
-                                FrameKind::Nack => {
-                                    st.nack_seen = true;
-                                    // A NACK is proof of reachability:
-                                    // the breaker detects silent
-                                    // destinations, not loaded ones.
-                                    if cfg.adaptive.is_some() {
-                                        dest_state[st.server as usize].breaker.on_success();
-                                    }
-                                }
-                                FrameKind::Request => {} // unreachable
-                            }
-                        }
-                        Err(FrameError::Corrupt(hdr)) => {
-                            rel.corrupt_rx += 1;
-                            let _ = nodes[dst as usize].receive(now, &frame, horizon);
-                            slab.put(frame);
-                            // The header survived (the corrupt gate flips
-                            // payload bytes), so the damage is attributable.
-                            if let Some(st) = hdr.and_then(|h| states.get_mut(h.id as usize)) {
-                                if !st.done {
-                                    st.corrupt_seen = true;
-                                }
-                            }
-                        }
-                        Err(FrameError::Truncated) => slab.put(frame),
-                    }
-                }
-            }
-        }
-    }
-    let elapsed = q.now();
-
-    // Resolve what the event loop could not: with no retry policy there
-    // are no deadline timers, so an unanswered request stays open until
-    // this end-of-run sweep names its outcome explicitly.
-    for (rec, st) in records.iter_mut().zip(states.iter_mut()) {
-        if st.done {
-            continue;
-        }
-        st.done = true;
-        rec.outcome = if st.nack_seen {
-            RequestOutcome::Shed
-        } else if st.corrupt_seen {
-            RequestOutcome::Corrupt
-        } else {
-            RequestOutcome::Failed
-        };
-    }
-    rel.breaker_opens = dest_state.iter().map(|d| d.breaker.opens).sum();
-    for rec in &records {
-        match rec.outcome {
-            RequestOutcome::Ok { .. } => rel.outcomes.ok += 1,
-            RequestOutcome::OkHedged { .. } => rel.outcomes.ok_hedged += 1,
-            RequestOutcome::Shed => rel.outcomes.shed += 1,
-            RequestOutcome::DeadlineExceeded => rel.outcomes.deadline += 1,
-            RequestOutcome::Corrupt => rel.outcomes.corrupt += 1,
-            RequestOutcome::Failed => rel.outcomes.failed += 1,
-            RequestOutcome::Refused => rel.outcomes.refused += 1,
-        }
-    }
-
-    // Final sweep: every node replays noise out to the fixed horizon, so
-    // the noise histograms cover the same window regardless of traffic.
-    let per_node = nodes
-        .iter_mut()
-        .map(|n| {
-            n.advance_noise_to(horizon, horizon);
-            n.audit_isolation().expect("isolation preserved per node");
-            NodeReport {
-                index: n.index,
-                role: n.role,
-                stack: if n.role == Role::Client {
-                    StackKind::HafniumKitten
-                } else {
-                    cfg.server_stack
-                },
-                stats: n.stats,
-                noise_hist: n.noise_hist.clone(),
-            }
-        })
-        .collect();
-
-    ClusterReport {
-        server_stack: cfg.server_stack,
-        nodes: total,
-        clients,
-        servers,
-        seed: cfg.seed,
-        sent,
-        completed,
-        latency,
-        records,
-        per_node,
-        fabric: fabric.stats.clone(),
-        fault_stats: fabric.faults.stats,
-        reliability: rel,
-        recoveries,
-        scenario: None,
-        attestation,
-        elapsed,
+    match &cfg.scenario {
+        Some(scn) => execute(cfg, scn, StreamPlan::Scenario),
+        None => execute(cfg, &Scenario::default(), StreamPlan::Svcload),
     }
 }
 

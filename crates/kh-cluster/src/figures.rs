@@ -328,7 +328,8 @@ pub struct ScenarioReliabilityRow {
 /// shape) so per-server utilization — not the saturation point — is
 /// what stays fixed across the depth axis. Pooled and deterministic
 /// for any worker count; rows come back stack-major, then fault, then
-/// depth, then policy.
+/// depth, then policy. The static and adaptive arms run the default
+/// [`RetryPolicy`] and [`AdaptivePolicy`].
 pub fn scenario_reliability(
     nodes: usize,
     seed: u64,
@@ -336,8 +337,6 @@ pub fn scenario_reliability(
     faults: &[(String, Option<String>)],
     depths: &[usize],
     interarrival_us: u64,
-    static_policy: RetryPolicy,
-    adaptive_policy: AdaptivePolicy,
 ) -> Vec<ScenarioReliabilityRow> {
     let combos: Vec<(StackKind, String, Option<String>, usize, ReliabilityPolicy)> = ARMS
         .iter()
@@ -365,21 +364,23 @@ pub fn scenario_reliability(
         }
         match policy {
             ReliabilityPolicy::Off => {}
-            ReliabilityPolicy::Static => cfg.retry = Some(static_policy),
-            ReliabilityPolicy::Adaptive => cfg.adaptive = Some(adaptive_policy),
+            ReliabilityPolicy::Static => cfg.retry = Some(RetryPolicy::default()),
+            ReliabilityPolicy::Adaptive => cfg.adaptive = Some(AdaptivePolicy::default()),
         }
         cluster::run(&cfg)
     });
     combos
         .into_iter()
         .zip(reports)
-        .map(|((stack, fault, _, depth, policy), report)| ScenarioReliabilityRow {
-            stack,
-            fault,
-            policy,
-            depth,
-            report,
-        })
+        .map(
+            |((stack, fault, _, depth, policy), report)| ScenarioReliabilityRow {
+                stack,
+                fault,
+                policy,
+                depth,
+                report,
+            },
+        )
         .collect()
 }
 
@@ -396,7 +397,14 @@ pub fn render_scenario_reliability(rows: &[ScenarioReliabilityRow]) -> String {
     let mut t = Table::new(
         format!("scenario reliability grid (stack x fault x depth x policy), {nodes} nodes"),
         &[
-            "policy", "sent", "goodput%", "retx", "hedges", "crashdrop", "joins", "p99 us",
+            "policy",
+            "sent",
+            "goodput%",
+            "retx",
+            "hedges",
+            "crashdrop",
+            "joins",
+            "p99 us",
         ],
     );
     for row in rows {
@@ -773,17 +781,12 @@ mod tests {
             ("no-faults".to_string(), None),
             ("crashsvc".to_string(), Some("crashsvc@4ms:5".to_string())),
         ];
-        let rows = scenario_reliability(
-            8,
-            21,
-            SvcLoadConfig::quick(),
-            &faults,
-            &[1, 2],
-            900,
-            RetryPolicy::default(),
-            AdaptivePolicy::default(),
+        let rows = scenario_reliability(8, 21, SvcLoadConfig::quick(), &faults, &[1, 2], 900);
+        assert_eq!(
+            rows.len(),
+            ARMS.len() * 2 * 2 * 3,
+            "arm x fault x depth x policy"
         );
-        assert_eq!(rows.len(), ARMS.len() * 2 * 2 * 3, "arm x fault x depth x policy");
         // Offered load depends only on the (fault, depth) cell: arming
         // a policy never perturbs the arrival stream.
         for cell in rows.chunks(3) {
@@ -808,16 +811,7 @@ mod tests {
         let faults = vec![("crashsvc".to_string(), Some("crashsvc@4ms:5".to_string()))];
         let fingerprint = |jobs| {
             pool::set_jobs(jobs);
-            let rows = scenario_reliability(
-                8,
-                23,
-                SvcLoadConfig::quick(),
-                &faults,
-                &[2],
-                900,
-                RetryPolicy::default(),
-                AdaptivePolicy::default(),
-            );
+            let rows = scenario_reliability(8, 23, SvcLoadConfig::quick(), &faults, &[2], 900);
             pool::set_jobs(1);
             rows.iter()
                 .map(|r| {

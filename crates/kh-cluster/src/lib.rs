@@ -20,21 +20,19 @@
 //!   over the same `LinkProfile` the guest NICs use, with
 //!   `kh_sim::FabricFaultPlan` hooks for loss, corruption, reorder,
 //!   jitter, and partitions;
-//! - [`cluster`] — topology, the event loop with the end-to-end
-//!   reliability layer (deadlines, seeded-backoff retries, hedging,
-//!   admission control, crash recovery — plus the *adaptive* layer:
-//!   live-quantile hedge delays, token-bucket retry budgets,
-//!   per-destination circuit breakers, CoDel queue-delay admission,
-//!   and server-side duplicate absorption), and [`ClusterReport`]
-//!   (latency histogram, per-request CSV trace with terminal outcomes,
-//!   per-node noise);
-//! - [`scenario`] — the multi-tier executor behind `kh_scenario`
-//!   specs: arbitrary-depth fan-out trees with wait-for-all or
-//!   quorum-k joins at every coordinator, open-loop arrivals or
-//!   closed-loop sessions with think time, the full per-leg
-//!   terminal-outcome reliability pipeline (per-(tier, destination)
-//!   hedge trackers, retry budgets, and circuit breakers), mid-run
-//!   service-VM crash recovery, and HPC noisy neighbors colocated on
+//! - [`cluster`] — topology, the config, the [`run`] entry point, and
+//!   [`ClusterReport`] (latency histogram, per-request CSV trace with
+//!   terminal outcomes, per-node noise);
+//! - [`scenario`] — the one event loop every run goes through. svcload
+//!   is its depth-0 case; `kh_scenario` specs add arbitrary-depth
+//!   fan-out trees with wait-for-all or quorum-k joins at every
+//!   coordinator, and open-loop arrivals or closed-loop sessions with
+//!   think time. Every leg runs the end-to-end reliability layer
+//!   (deadlines, seeded-backoff retries, hedging, admission control,
+//!   crash recovery — plus the *adaptive* layer: live-quantile hedge
+//!   delays, token-bucket retry budgets, per-(tier, destination)
+//!   circuit breakers, CoDel queue-delay admission, and server-side
+//!   duplicate absorption); HPC noisy neighbors can be colocated on
 //!   designated nodes;
 //! - [`figures`] — the Kitten-vs-Linux server ablation under identical
 //!   offered load, plus the reliability fault-matrix sweep, the
@@ -65,4 +63,4 @@ pub use figures::{
     scenario_reliability, MetastabilityRow, ReliabilityPolicy, ScenarioReliabilityRow, ARMS,
 };
 pub use node::{AdmissionPolicy, Node, NodeStats, Role};
-pub use scenario::{run_scenario, ScenarioStats};
+pub use scenario::ScenarioStats;

@@ -681,11 +681,18 @@ impl Node {
     }
 
     /// Admission control: may a request arriving at `now` enter the
-    /// service queue? Requests whose service already completed free
-    /// their slot; at `limit` outstanding the request is shed (counted
-    /// here; the caller answers with an explicit NACK, never a silent
-    /// drop).
-    pub fn admit(&mut self, now: Nanos, limit: usize) -> bool {
+    /// service queue? A shed is counted here; the caller answers with
+    /// an explicit NACK, never a silent drop.
+    pub fn admit_with(&mut self, now: Nanos, policy: &AdmissionPolicy) -> bool {
+        match *policy {
+            AdmissionPolicy::Fixed { limit } => self.admit_fixed(now, limit),
+            AdmissionPolicy::CoDel { target, interval } => self.admit_codel(now, target, interval),
+        }
+    }
+
+    /// Fixed-limit admission: requests whose service already completed
+    /// free their slot; at `limit` outstanding the request is shed.
+    fn admit_fixed(&mut self, now: Nanos, limit: usize) -> bool {
         while self.pending_done.front().is_some_and(|d| *d <= now) {
             self.pending_done.pop_front();
         }
@@ -694,14 +701,6 @@ impl Node {
             false
         } else {
             true
-        }
-    }
-
-    /// Admission under a configured [`AdmissionPolicy`].
-    pub fn admit_with(&mut self, now: Nanos, policy: &AdmissionPolicy) -> bool {
-        match *policy {
-            AdmissionPolicy::Fixed { limit } => self.admit(now, limit),
-            AdmissionPolicy::CoDel { target, interval } => self.admit_codel(now, target, interval),
         }
     }
 
@@ -970,15 +969,19 @@ mod tests {
         let horizon = Nanos::from_millis(10);
         let mut n = node(StackKind::HafniumKitten, 6);
         let t = Nanos::from_micros(10);
-        assert!(n.admit(t, 2));
+        let fixed = AdmissionPolicy::Fixed { limit: 2 };
+        assert!(n.admit_with(t, &fixed));
         n.serve(t, &phase, horizon);
-        assert!(n.admit(t, 2));
+        assert!(n.admit_with(t, &fixed));
         n.serve(t, &phase, horizon);
-        assert!(!n.admit(t, 2), "queue full: third concurrent request shed");
+        assert!(
+            !n.admit_with(t, &fixed),
+            "queue full: third concurrent request shed"
+        );
         assert_eq!(n.stats.shed, 1);
         // Once the queued work completes, capacity frees up.
         let later = n.busy_until + Nanos(1);
-        assert!(n.admit(later, 2));
+        assert!(n.admit_with(later, &fixed));
         assert_eq!(n.stats.shed, 1);
     }
 

@@ -1,14 +1,19 @@
-//! Scenario executor: multi-tier reliability workloads over the booted
-//! cluster.
+//! The cluster executor: every run, single-tier svcload or a multi-tier
+//! scenario, goes through one event loop.
 //!
-//! [`run_scenario`] drives a parsed [`Scenario`] over the same node and
-//! fabric machinery as [`crate::cluster::run`], generalising the flow
-//! from one tier to an arbitrary-depth fan-out tree:
+//! A parsed [`Scenario`] runs over the booted nodes and fabric as an
+//! arbitrary-depth fan-out tree:
 //!
 //! ```text
 //! client --request--> frontend --d1 legs--> tier-1 --d2 legs--> tier-2 ...
 //! client <--response- frontend <--joins---- tier-1 <--joins---- tier-2 ...
 //! ```
+//!
+//! svcload is the depth-0 case: one leg per request, served by the
+//! frontend alone. [`crate::cluster::run`] lowers a scenario-less
+//! [`ClusterConfig`] to [`Scenario::default`] under a private stream
+//! plan that keeps svcload's arrival generator and stream roots; the
+//! plan is the only difference from a real depth-0 scenario.
 //!
 //! Each server that owns a non-leaf leg is that leg's *coordinator*: it
 //! serves its own phase, fans out `d` child legs to distinct peers, and
@@ -21,8 +26,8 @@
 //! records with their tier index, so the run trace CSV carries the
 //! whole tree.
 //!
-//! **Reliability per leg.** Every leg runs the full terminal-outcome
-//! pipeline from the svcload path: deadline, jittered-backoff
+//! **Reliability per leg.** Every leg, the client's own included, runs
+//! the same terminal-outcome pipeline: deadline, jittered-backoff
 //! retransmits, hedged sends, and — under the adaptive policy —
 //! per-destination [`WindowedQuantile`] hedge trackers, retry budgets,
 //! and circuit breakers keyed by *(tier, destination)*, so a breaker
@@ -33,23 +38,23 @@
 //! coordinators replay their join answer to duplicate requests once the
 //! join has resolved.
 //!
-//! **Crash recovery.** Scheduled `crashsvc@t:node` faults are wired
-//! exactly as in the svcload loop: the victim's service VM drops
-//! frames while down (`crash_drops`), the Kitten primary detects and
-//! restarts it on the cluster clock, and each incident lands in the
-//! report's [`RecoveryRecord`]s. Crash-window time-stealing is
-//! deterministic whether or not traffic hits the victim, so
-//! healthy-node noise histograms stay bit-identical to a fault-free
-//! run.
+//! **Crash recovery.** Scheduled `crashsvc@t:node` faults kill the
+//! victim's service VM, which drops frames while down (`crash_drops`);
+//! the Kitten primary detects and restarts it on the cluster clock, and
+//! each incident lands in the report's [`RecoveryRecord`]s.
+//! Crash-window time-stealing is deterministic whether or not traffic
+//! hits the victim, so healthy-node noise histograms stay bit-identical
+//! to a fault-free run.
 //!
-//! Randomness discipline (the PR 5 rule): arrivals ("khscna"), service
+//! Randomness discipline: nodes ("khclus"), arrivals, service
 //! multipliers ("khscns"), HPC neighbors ("khscnh"), closed-loop think
-//! times ("khscnt"), retry backoff jitter ("khsrty"), and breaker
-//! reopen jitter ("khsbrk") each ride their own stream root split off
-//! the run seed, and per-leg draws are keyed by [`leg_seed`] — a pure
-//! function of (root, id, leg). Arming reliability, closed-loop
-//! clients, or crash faults therefore never perturbs arrival, noise,
-//! or fabric fault draws, which the bench gates assert byte-for-byte.
+//! times ("khscnt"), retry backoff jitter, and breaker reopen jitter
+//! each ride their own stream root split off the run seed, and per-leg
+//! draws are keyed by [`leg_seed`] — a pure function of (root, id,
+//! leg). The stream plan picks the arrival, retry and breaker roots.
+//! Arming reliability, closed-loop clients, or crash faults therefore
+//! never perturbs arrival, noise, or fabric fault draws, which the
+//! bench gates assert byte-for-byte.
 
 use crate::cluster::{
     ClusterConfig, ClusterReport, NodeReport, RecoveryRecord, ReliabilityStats, RequestRecord,
@@ -61,13 +66,13 @@ use kh_arch::cpu::Phase;
 use kh_core::config::StackKind;
 use kh_metrics::hist::LogHistogram;
 use kh_metrics::quantile::WindowedQuantile;
-use kh_scenario::{leg_seed, ArrivalProcess, JoinPolicy, RetryMode, Scenario};
+use kh_scenario::{leg_seed, ArrivalProcess, JoinPolicy, RetryMode, Scenario, ServiceDist};
 use kh_sim::{EventQueue, FabricFaultPlan, Nanos, SimRng};
 use kh_virtio::LinkProfile;
 use kh_workloads::adaptive::{CircuitBreaker, RetryBudget};
 use kh_workloads::svcload::{
-    decode_frame, nack_frame_into, request_frame_into, response_frame_into, FrameError,
-    FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
+    corrupt_frame_payload, decode_frame, nack_frame_into, request_frame_into, response_frame_into,
+    Arrivals, FrameError, FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
 };
 
 /// High bits of the frame id carry the leg's tree index (0 = the
@@ -99,6 +104,105 @@ fn scale_phase(base: &Phase, m: f64) -> Phase {
     }
 }
 
+/// Which arrival generator and stream roots a run draws from. A
+/// scenario-less config runs under `Svcload`, every scenario under
+/// `Scenario`; [`crate::cluster::run`] picks once, from
+/// `cfg.scenario.is_none()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StreamPlan {
+    /// svcload's roots, for the depth-0 lowering: [`Arrivals`] on
+    /// "kharrv", retry jitter on "khrtry" (per-request, via
+    /// `retry_seed`), breaker jitter on "khbrkr" split per node index.
+    /// The report carries no [`ScenarioStats`].
+    Svcload,
+    /// The scenario roots: [`ArrivalProcess`] on "khscna", retry jitter
+    /// on "khsrty", breaker jitter on "khsbrk" split per (tier, server).
+    Scenario,
+}
+
+impl StreamPlan {
+    /// One open-loop generator per client.
+    fn arrivals(self, cfg: &ClusterConfig, scn: &Scenario, clients: usize) -> Vec<ArrivalGen> {
+        match self {
+            StreamPlan::Svcload => {
+                let mut seeds = SimRng::new(cfg.seed ^ 0x6B68_6172_7276); // "kharrv"
+                (0..clients)
+                    .map(|c| {
+                        let seed = seeds.split(c as u64).next_u64();
+                        ArrivalGen::Svcload(Arrivals::new(&cfg.svcload, seed))
+                    })
+                    .collect()
+            }
+            StreamPlan::Scenario => {
+                let mut seeds = SimRng::new(cfg.seed ^ 0x6B68_7363_6E61); // "khscna"
+                (0..clients)
+                    .map(|c| {
+                        let seed = seeds.split(c as u64).next_u64();
+                        ArrivalGen::Scenario(ArrivalProcess::new(
+                            scn.arrival,
+                            cfg.svcload.duration,
+                            seed,
+                        ))
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Root of the per-leg backoff seeds, keyed by [`leg_seed`].
+    fn retry_root(self, seed: u64) -> u64 {
+        match self {
+            // leg_seed(r, id, 0) is retry_seed(r, id) plus the leg-0
+            // offset leg_seed(0, 0, 0); lowering the root by that offset
+            // gives the client leg svcload's per-request stream.
+            StreamPlan::Svcload => SimRng::new(seed ^ 0x6B68_7274_7279) // "khrtry"
+                .next_u64()
+                .wrapping_sub(leg_seed(0, 0, 0)),
+            StreamPlan::Scenario => SimRng::new(seed ^ 0x6B68_7372_7479).next_u64(), // "khsrty"
+        }
+    }
+
+    /// Breaker reopen-jitter streams, one per (tier, server) slot in
+    /// `dest_state` order.
+    fn breaker_rngs(self, seed: u64, clients: usize, servers: usize, tiers: usize) -> Vec<SimRng> {
+        match self {
+            StreamPlan::Svcload => {
+                // Split over every node index in order; each server
+                // keeps the split labelled with its own node index.
+                let mut seeds = SimRng::new(seed ^ 0x6B68_6272_6B72); // "khbrkr"
+                let all: Vec<SimRng> = (0..clients + servers)
+                    .map(|i| seeds.split(i as u64))
+                    .collect();
+                all.into_iter().skip(clients).collect()
+            }
+            StreamPlan::Scenario => {
+                let mut seeds = SimRng::new(seed ^ 0x6B68_7362_726B); // "khsbrk"
+                (0..tiers * servers)
+                    .map(|i| seeds.split(i as u64))
+                    .collect()
+            }
+        }
+    }
+}
+
+/// A client's open-loop arrival generator. The two differ in gap
+/// rounding — svcload's [`Arrivals`] takes `1 + ⌊x⌋`,
+/// [`ArrivalProcess`] takes `max(⌊x⌋, 1)` — so folding one into the
+/// other would move every timestamp on one side.
+enum ArrivalGen {
+    Svcload(Arrivals),
+    Scenario(ArrivalProcess),
+}
+
+impl ArrivalGen {
+    fn next_arrivals(&mut self, k: usize, out: &mut Vec<Nanos>) -> usize {
+        match self {
+            ArrivalGen::Svcload(a) => a.next_arrivals(k, out),
+            ArrivalGen::Scenario(a) => a.next_arrivals(k, out),
+        }
+    }
+}
+
 /// The spec's fan-out tree flattened breadth-first, with per-tier
 /// degrees clamped to the server count minus one (a coordinator never
 /// calls itself). Tier `t` occupies leg indices
@@ -115,6 +219,9 @@ struct LegTree {
     count: Vec<usize>,
     /// Total legs per request.
     total: usize,
+    /// Non-leaf legs per request: legs `0..coordinators`, the ones
+    /// whose destination fans out and joins (0 at depth 0).
+    coordinators: usize,
 }
 
 impl LegTree {
@@ -143,12 +250,14 @@ impl LegTree {
             count.push(count.last().unwrap() * d);
         }
         let total = start.last().unwrap() + count.last().unwrap();
+        let coordinators = *start.last().unwrap();
         LegTree {
             degrees,
             needed,
             start,
             count,
             total,
+            coordinators,
         }
     }
 
@@ -204,9 +313,6 @@ pub struct ScenarioStats {
     pub late_legs: u64,
     pub joins_ok: u64,
     pub joins_failed: u64,
-    /// Client-observed end-to-end latency (same data as the report's
-    /// `latency` histogram).
-    pub tier0: LogHistogram,
     /// Backend leg latency as observed by each coordinator (dispatch
     /// to leg-response arrival), across every tier >= 1.
     pub tier1: LogHistogram,
@@ -217,94 +323,82 @@ pub struct ScenarioStats {
     pub hpc_busy: Nanos,
 }
 
-impl ScenarioStats {
-    /// Both tiers in one histogram, via bucket-wise
-    /// [`LogHistogram::merge`] — no re-recording.
-    pub fn merged_latency(&self) -> LogHistogram {
-        let mut m = self.tier0.clone();
-        m.merge(&self.tier1);
-        m
-    }
-}
-
-/// Per-leg bookkeeping: reliability state at the leg's issuer plus
-/// coordinator state at the leg's destination. One request
-/// pre-allocates `LegTree::total` slots; slots whose parent never
-/// served stay `issued == false` and produce no trace row.
+/// Issuer-side state of one leg, the client's own leg 0 included. Legs
+/// live in one flat arena at `id * LegTree::total + leg`; a slot whose
+/// parent never served keeps `attempts == 0` and produces no trace row.
+#[derive(Clone, Copy)]
 struct LegState {
+    /// First-send time; every retransmit and reply echoes it.
+    sent: Nanos,
+    /// When the response arrived; `Nanos::MAX` until one does (a
+    /// sentinel rather than an `Option` keeps the slot at 32 B). The
+    /// deadline is not stored: retry and hedge timers exist only under
+    /// a policy, and recompute it as `sent + policy.deadline`.
+    completed: Nanos,
     /// Issuer (the client for leg 0, the parent's server otherwise).
     src: u16,
     dst: u16,
-    /// First-send time; every retransmit and reply echoes it.
-    sent: Nanos,
-    completed: Option<Nanos>,
+    /// Transmissions so far; 0 = never issued.
+    attempts: u32,
     outcome: RequestOutcome,
+    hedge_attempt: Option<u8>,
+    /// Index of the next backoff step. The schedule itself is a pure
+    /// function of the leg's seed, recomputed when a retry fires.
+    next_backoff: u8,
     /// Terminal at the issuer.
     resolved: bool,
-    issued: bool,
-    attempts: u32,
-    backoff: Vec<Nanos>,
-    next_backoff: usize,
-    deadline_at: Nanos,
-    hedge_attempt: Option<u8>,
     nack_seen: bool,
     corrupt_seen: bool,
-    /// Coordinator side: the destination admitted this leg and began
-    /// serving (fan-out runs at most once per leg).
-    started: bool,
-    serve_done: Nanos,
-    /// Attempt number of the request copy that was admitted; the
-    /// upstream answer echoes it so hedge wins are attributed.
-    serve_attempt: u8,
-    ok_children: u32,
-    bad_children: u32,
-    join_done: bool,
-    /// The join answer already sent upstream, replayed to duplicate
-    /// requests that arrive after resolution.
-    answer: Option<FrameKind>,
-    answer_at: Nanos,
 }
 
 impl LegState {
-    fn new() -> LegState {
-        LegState {
-            src: 0,
-            dst: 0,
-            sent: Nanos::ZERO,
-            completed: None,
-            outcome: RequestOutcome::Failed,
-            resolved: false,
-            issued: false,
-            attempts: 0,
-            backoff: Vec::new(),
-            next_backoff: 0,
-            deadline_at: Nanos::MAX,
-            hedge_attempt: None,
-            nack_seen: false,
-            corrupt_seen: false,
-            started: false,
-            serve_done: Nanos::ZERO,
-            serve_attempt: 0,
-            ok_children: 0,
-            bad_children: 0,
-            join_done: false,
-            answer: None,
-            answer_at: Nanos::ZERO,
-        }
-    }
+    const NEW: LegState = LegState {
+        sent: Nanos::ZERO,
+        completed: Nanos::MAX,
+        src: 0,
+        dst: 0,
+        attempts: 0,
+        outcome: RequestOutcome::Failed,
+        hedge_attempt: None,
+        next_backoff: 0,
+        resolved: false,
+        nack_seen: false,
+        corrupt_seen: false,
+    };
 }
 
-/// One client request's whole tree.
-struct ReqState {
-    client: u16,
-    frontend: u16,
-    /// Closed-loop session that issued this request, when in
-    /// closed-loop mode; the session's next request is paced off this
-    /// one's terminal resolution.
-    session: Option<u16>,
-    /// Client-level resolution (response, deadline, sweep).
-    done: bool,
-    legs: Vec<LegState>,
+/// Coordinator-side state of one non-leaf leg, at its destination.
+/// Lives in its own arena at `id * LegTree::coordinators + leg`, which
+/// is empty at depth 0.
+#[derive(Clone, Copy)]
+struct CoordState {
+    /// The destination admitted this leg and began serving (fan-out
+    /// runs at most once per leg).
+    started: bool,
+    join_done: bool,
+    /// Attempt number of the request copy that was admitted; the
+    /// upstream answer echoes it so hedge wins are attributed.
+    serve_attempt: u8,
+    /// The join answer already sent upstream, replayed to duplicate
+    /// requests that arrive after resolution.
+    answer: Option<FrameKind>,
+    ok_children: u32,
+    bad_children: u32,
+    serve_done: Nanos,
+    answer_at: Nanos,
+}
+
+impl CoordState {
+    const NEW: CoordState = CoordState {
+        started: false,
+        join_done: false,
+        serve_attempt: 0,
+        answer: None,
+        ok_children: 0,
+        bad_children: 0,
+        serve_done: Nanos::ZERO,
+        answer_at: Nanos::ZERO,
+    };
 }
 
 /// Resolved reliability policy for one tier's legs.
@@ -335,19 +429,26 @@ enum Ev {
     RestartSvc { node: u16 },
 }
 
-/// Run `scn` over a freshly booted cluster. Dispatched by
-/// [`crate::cluster::run`] when `cfg.scenario` is set.
-pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
+/// Run `scn` over a freshly booted cluster, drawing from `plan`'s
+/// streams. Called only by [`crate::cluster::run`].
+pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario, plan: StreamPlan) -> ClusterReport {
     let clients = cfg.clients();
     let servers = cfg.servers();
     let total = clients + servers;
+    // Everything in flight must land before noise accounting stops;
+    // requests arrive only inside `duration`, so one extra window of
+    // slack comfortably covers queued tails.
     let horizon = cfg.svcload.duration + cfg.svcload.duration + Nanos::from_millis(50);
     let tree = LegTree::build(scn, servers);
     let fanout = tree.degrees.first().copied().unwrap_or(0);
     let depth = tree.depth();
+    debug_assert!(
+        plan == StreamPlan::Scenario || depth == 0,
+        "the svcload plan only lowers to depth 0"
+    );
 
-    // Node boot is byte-identical to the svcload path: same stream root,
-    // same split order — a scenario changes traffic, not machines.
+    // Node boot: one stream per node index off the "khclus" root. A
+    // scenario changes traffic, not machines.
     let mut node_seeds = SimRng::new(cfg.seed ^ 0x6B68_636C_7573); // "khclus"
     let mut nodes: Vec<Node> = (0..total)
         .map(|i| {
@@ -370,24 +471,15 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
         })
         .collect();
 
-    // Dedicated scenario streams, all split off the run seed: arrivals
-    // ("khscna"), service multipliers ("khscns"), HPC neighbors
-    // ("khscnh"), closed-loop think time ("khscnt"), per-leg retry
-    // jitter ("khsrty"), breaker reopen jitter ("khsbrk"). None of
-    // these roots are shared with noise or fabric fault streams — nor
-    // with each other — so arming any one layer perturbs nothing else.
-    let mut arrival_seeds = SimRng::new(cfg.seed ^ 0x6B68_7363_6E61);
-    let mut arrivals: Vec<ArrivalProcess> = (0..clients)
-        .map(|c| {
-            ArrivalProcess::new(
-                scn.arrival,
-                cfg.svcload.duration,
-                arrival_seeds.split(c as u64).next_u64(),
-            )
-        })
-        .collect();
+    // Dedicated streams, all split off the run seed: service
+    // multipliers ("khscns"), HPC neighbors ("khscnh"), closed-loop
+    // think time ("khscnt"), and the plan's arrival, retry and breaker
+    // roots. None of these roots are shared with noise or fabric fault
+    // streams — nor with each other — so arming any one layer perturbs
+    // nothing else.
+    let mut arrivals = plan.arrivals(cfg, scn, clients);
     let svc_root = SimRng::new(cfg.seed ^ 0x6B68_7363_6E73).next_u64();
-    let retry_root = SimRng::new(cfg.seed ^ 0x6B68_7372_7479).next_u64();
+    let retry_root = plan.retry_root(cfg.seed);
     let mut hpc_seeds = SimRng::new(cfg.seed ^ 0x6B68_7363_6E68);
     let mut hpc_nodes: Vec<u16> = Vec::new();
     if let Some(colo) = &scn.colocate {
@@ -404,8 +496,8 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     }
 
     // Per-tier reliability controls: the config-wide default (adaptive
-    // beats static beats off, as in the svcload loop) overridden by
-    // any `retry=` clause. Tier 0 is the client's own request.
+    // beats static beats off) overridden by any `retry=` clause. Tier 0
+    // is the client's own request.
     let default_mode = if cfg.adaptive.is_some() {
         RetryMode::Adaptive
     } else if cfg.retry.is_some() {
@@ -432,9 +524,8 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
         })
         .collect();
     let any_adaptive = tier_ctl.iter().any(|c| c.adaptive);
-    // CoDel admission comes with the config-wide adaptive policy, as
-    // in the svcload loop; per-tier `retry=` overrides change sender
-    // behavior only.
+    // CoDel admission comes with the config-wide adaptive policy;
+    // per-tier `retry=` overrides change sender behavior only.
     let admission = match &cfg.adaptive {
         Some(a) => AdmissionPolicy::CoDel {
             target: a.codel_target,
@@ -444,16 +535,16 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     };
     let dix = |tier: usize, dst: u16| tier * servers + (dst as usize - clients);
     let mut dest_state: Vec<DestState> = if any_adaptive {
-        let mut breaker_seeds = SimRng::new(cfg.seed ^ 0x6B68_7362_726B); // "khsbrk"
-        (0..(depth + 1) * servers)
-            .map(|i| DestState {
+        plan.breaker_rngs(cfg.seed, clients, servers, depth + 1)
+            .into_iter()
+            .map(|rng| DestState {
                 tracker: WindowedQuantile::new(apol.window),
                 budget: RetryBudget::new(apol.budget_percent, apol.budget_burst),
                 breaker: CircuitBreaker::new(
                     apol.breaker_threshold,
                     apol.breaker_open_base,
                     apol.breaker_jitter,
-                    breaker_seeds.split(i as u64),
+                    rng,
                 ),
             })
             .collect()
@@ -474,11 +565,13 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
         fabric.faults = FabricFaultPlan::new(spec, *fault_seed);
     }
 
-    // Bring-up attestation, identical to the svcload path: the
-    // handshake runs before the first arrival, draws only from its own
-    // stream roots, and quarantines any node whose evidence fails the
-    // registry. Quarantined frontends refuse client requests;
-    // quarantined backends have their legs refused by the coordinator.
+    // Attestation happens at bring-up, before the first arrival: every
+    // node sweeps its peers, and anyone whose evidence fails the
+    // registry is quarantined for the whole run. The handshake draws
+    // from its own stream roots and mutates no node, so arming it (or
+    // a tamper clause) leaves every other stream byte-identical.
+    // Quarantined frontends refuse client requests; quarantined
+    // backends have their legs refused by the coordinator.
     let attestation = cfg.attest.then(|| {
         crate::attest::handshake(
             &nodes,
@@ -495,9 +588,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     let base_phase = cfg.svcload.service_phase();
     let mut q: EventQueue<Ev> = EventQueue::new();
     let mut slab = FrameSlab::new();
-    // Open loop: same batching discipline as the svcload loop — each
-    // client keeps `ARRIVAL_BATCH` future arrivals filed and refills
-    // when the last one fires. Closed loop: one SessionNext per
+    // Open loop: each client keeps `ARRIVAL_BATCH` future arrivals
+    // filed and refills when the last one fires, amortising generator
+    // re-entry across K events. Closed loop: one SessionNext per
     // session, paced by its own think-time stream; the first request
     // of each session fires after one think draw, staggering sessions
     // deterministically.
@@ -525,7 +618,7 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
             }
         }
     } else {
-        for (c, gen) in arrivals.iter_mut().enumerate().take(clients) {
+        for (c, gen) in arrivals.iter_mut().enumerate() {
             arrival_buf.clear();
             let n = gen.next_arrivals(ARRIVAL_BATCH, &mut arrival_buf);
             for &t in &arrival_buf[..n] {
@@ -540,8 +633,15 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
         q.schedule_at(e.at, Ev::CrashSvc { node: e.node });
     }
 
+    // During the run `records` holds exactly the tier-0 rows, so a
+    // request's id is its row index; leg rows are appended at the end.
     let mut records: Vec<RequestRecord> = Vec::new();
-    let mut states: Vec<ReqState> = Vec::new();
+    let mut legs: Vec<LegState> = Vec::new();
+    let mut coords: Vec<CoordState> = Vec::new();
+    // Closed loop only: the session that issued each request.
+    let mut sessions: Vec<u16> = Vec::new();
+    let lx = |id: u64, leg: usize| id as usize * tree.total + leg;
+    let cx = |id: u64, leg: usize| id as usize * tree.coordinators + leg;
     let mut latency = LogHistogram::for_latency();
     let mut rel = ReliabilityStats::default();
     let mut recoveries: Vec<RecoveryRecord> = Vec::new();
@@ -557,7 +657,6 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
         late_legs: 0,
         joins_ok: 0,
         joins_failed: 0,
-        tier0: LogHistogram::for_latency(),
         tier1: LogHistogram::for_latency(),
         hpc_nodes,
         hpc_quanta: 0,
@@ -566,15 +665,16 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     let mut sent = 0u64;
     let mut completed = 0u64;
 
-    // Route one frame through a node's NIC and the fabric. Buffers come
-    // from (and return to) the slab: a dropped frame is recycled.
+    // Route one frame through a node's NIC and the fabric, applying the
+    // corrupt gate's byte-flip on delivery. Buffers come from (and
+    // return to) the slab: a dropped frame is recycled, not freed.
     macro_rules! push_frame {
         ($src:expr, $dst:expr, $frame:expr, $at:expr) => {{
             let mut frame = $frame;
             let enter = nodes[$src as usize].send($at, &frame, horizon);
             if let Some(d) = fabric.transit($src, $dst, frame.len() as u64, enter) {
                 if let Some(salt) = d.corrupt_salt {
-                    kh_workloads::svcload::corrupt_frame_payload(&mut frame, salt);
+                    corrupt_frame_payload(&mut frame, salt);
                 }
                 q.schedule_at(d.at, Ev::Deliver { dst: $dst, frame });
             } else {
@@ -589,9 +689,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     macro_rules! session_continue {
         ($id:expr, $at:expr) => {{
             let id = $id as usize;
-            if let Some(sess) = states[id].session {
+            if let Some(&sess) = sessions.get(id) {
                 let cl = scn.clients.as_ref().expect("session implies closed loop");
-                let client = states[id].client;
+                let client = records[id].client;
                 let ix = client as usize * cl.sessions + sess as usize;
                 let m = cl.think.sample(&mut think_rngs[ix]);
                 let at = $at + Nanos((cl.think_mean.as_nanos() as f64 * m).round() as u64);
@@ -610,9 +710,10 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
 
     // First-send of one leg: arm its deadline/backoff/hedge timers per
     // its tier's policy, earn retry budget, and transmit. Backoff
-    // schedules ride the "khsrty" root keyed by (id, leg); adaptive
-    // hedge delays follow the (tier, destination) live quantile with
-    // the same cold-start guard as the svcload loop.
+    // schedules ride the plan's retry root keyed by (id, leg); adaptive
+    // hedge delays follow the (tier, destination) live quantile, and
+    // only once the tracker has seen enough completions to know the
+    // distribution — the cold-start guard.
     macro_rules! issue_leg {
         ($id:expr, $leg:expr, $src:expr, $dst:expr, $at:expr) => {{
             let (id, leg, src, dst): (u64, usize, u16, u16) = ($id, $leg, $src, $dst);
@@ -622,17 +723,27 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
             if leg > 0 {
                 stats.legs_sent += 1;
             }
-            let mut deadline_at = Nanos::MAX;
-            let mut backoff: Vec<Nanos> = Vec::new();
-            let mut next_backoff = 0usize;
+            let mut next_backoff = 0u8;
             if let Some(policy) = &ctl.base {
-                deadline_at = at + policy.deadline;
-                backoff = policy.backoff_schedule(leg_seed(retry_root, id, leg as u32));
-                q.schedule_at(deadline_at, Ev::Deadline { id, leg: leg as u32 });
-                if let Some(first) = backoff.first() {
-                    let t = at + *first;
+                let deadline_at = at + policy.deadline;
+                q.schedule_at(
+                    deadline_at,
+                    Ev::Deadline {
+                        id,
+                        leg: leg as u32,
+                    },
+                );
+                let seed = leg_seed(retry_root, id, leg as u32);
+                if let Some(&first) = policy.backoff_schedule(seed).first() {
+                    let t = at + first;
                     if t < deadline_at {
-                        q.schedule_at(t, Ev::Retry { id, leg: leg as u32 });
+                        q.schedule_at(
+                            t,
+                            Ev::Retry {
+                                id,
+                                leg: leg as u32,
+                            },
+                        );
                     }
                     next_backoff = 1;
                 }
@@ -640,7 +751,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                     let d = &dest_state[dix(tier, dst)];
                     if d.tracker.recorded() >= apol.hedge_min_samples {
                         let (qn, qd) = apol.hedge_quantile;
-                        d.tracker.quantile(qn, qd).map(|v| Nanos(v).max(apol.hedge_floor))
+                        d.tracker
+                            .quantile(qn, qd)
+                            .map(|v| Nanos(v).max(apol.hedge_floor))
                     } else {
                         None
                     }
@@ -650,30 +763,39 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                 if let Some(h) = hedge_delay {
                     let t = at + h;
                     if t < deadline_at {
-                        q.schedule_at(t, Ev::Hedge { id, leg: leg as u32 });
+                        q.schedule_at(
+                            t,
+                            Ev::Hedge {
+                                id,
+                                leg: leg as u32,
+                            },
+                        );
                     }
                 }
             } else if leg == 0 && scn.clients.is_some() {
-                deadline_at = at + session_deadline;
-                q.schedule_at(deadline_at, Ev::Deadline { id, leg: 0 });
+                q.schedule_at(at + session_deadline, Ev::Deadline { id, leg: 0 });
             }
             if ctl.adaptive {
                 // First sends are never gated; they earn budget.
                 dest_state[dix(tier, dst)].budget.on_send();
             }
             {
-                let lst = &mut states[id as usize].legs[leg];
-                lst.issued = true;
+                let lst = &mut legs[lx(id, leg)];
                 lst.src = src;
                 lst.dst = dst;
                 lst.sent = at;
                 lst.attempts = 1;
-                lst.deadline_at = deadline_at;
-                lst.backoff = backoff;
                 lst.next_backoff = next_backoff;
             }
             let mut frame = slab.take();
-            request_frame_into(&cfg.svcload, leg_frame_id(id, leg as u32), src, at, 0, &mut frame);
+            request_frame_into(
+                &cfg.svcload,
+                leg_frame_id(id, leg as u32),
+                src,
+                at,
+                0,
+                &mut frame,
+            );
             push_frame!(src, dst, frame, at);
         }};
     }
@@ -686,19 +808,27 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
         ($id:expr, $leg:expr, $kind:expr, $at:expr) => {{
             let (id, leg): (u64, usize) = ($id, $leg);
             let kind: FrameKind = $kind;
-            let (cnode, to, first_sent, attempt, t) = {
-                let lst = &mut states[id as usize].legs[leg];
-                let t = Nanos::max($at, lst.serve_done);
-                lst.answer = Some(kind);
-                lst.answer_at = t;
-                (lst.dst, lst.src, lst.sent, lst.serve_attempt, t)
+            let (attempt, t) = {
+                let c = &mut coords[cx(id, leg)];
+                let t = Nanos::max($at, c.serve_done);
+                c.answer = Some(kind);
+                c.answer_at = t;
+                (c.serve_attempt, t)
+            };
+            let (cnode, to, first_sent) = {
+                let lst = &legs[lx(id, leg)];
+                (lst.dst, lst.src, lst.sent)
             };
             if !nodes[cnode as usize].is_crashed() {
                 let mut frame = slab.take();
                 match kind {
-                    FrameKind::Nack => {
-                        nack_frame_into(leg_frame_id(id, leg as u32), to, first_sent, attempt, &mut frame)
-                    }
+                    FrameKind::Nack => nack_frame_into(
+                        leg_frame_id(id, leg as u32),
+                        to,
+                        first_sent,
+                        attempt,
+                        &mut frame,
+                    ),
                     _ => response_frame_into(
                         &cfg.svcload,
                         leg_frame_id(id, leg as u32),
@@ -726,23 +856,23 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
             let need = tree.needed[ptier];
             let mut answer: Option<FrameKind> = None;
             {
-                let plst = &mut states[id as usize].legs[parent];
-                if plst.join_done {
+                let pc = &mut coords[cx(id, parent)];
+                if pc.join_done {
                     if arrived {
                         stats.late_legs += 1;
                     }
                 } else if ok {
-                    plst.ok_children += 1;
-                    if plst.ok_children >= need {
-                        plst.join_done = true;
+                    pc.ok_children += 1;
+                    if pc.ok_children >= need {
+                        pc.join_done = true;
                         stats.joins_ok += 1;
                         answer = Some(FrameKind::Response);
                     }
                 } else {
-                    plst.bad_children += 1;
+                    pc.bad_children += 1;
                     // Quorum arithmetically impossible: fail fast.
-                    if plst.bad_children > deg - need {
-                        plst.join_done = true;
+                    if pc.bad_children > deg - need {
+                        pc.join_done = true;
                         stats.joins_failed += 1;
                         answer = Some(FrameKind::Nack);
                     }
@@ -761,12 +891,18 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
             let client: u16 = $client;
             let session: Option<u16> = $session;
             let now: Nanos = $now;
-            let id = states.len() as u64;
+            let id = records.len() as u64;
             let frontend = (clients + (client as usize % servers)) as u16;
             sent += 1;
+            legs.resize(legs.len() + tree.total, LegState::NEW);
+            coords.resize(coords.len() + tree.coordinators, CoordState::NEW);
+            if let Some(s) = session {
+                sessions.push(s);
+            }
             if quarantined.contains(&frontend) {
                 // The frontend failed attestation: the client refuses
-                // to transmit. Terminal immediately; a closed-loop
+                // to transmit. Terminal immediately — no frame, no
+                // timers, no service work anywhere; a closed-loop
                 // session lives on and re-tries after one think time.
                 records.push(RequestRecord {
                     id,
@@ -779,13 +915,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                     tier: 0,
                     fanout: fanout as u16,
                 });
-                states.push(ReqState {
-                    client,
-                    frontend,
-                    session,
-                    done: true,
-                    legs: Vec::new(),
-                });
+                let l0 = &mut legs[lx(id, 0)];
+                l0.resolved = true;
+                l0.outcome = RequestOutcome::Refused;
                 session_continue!(id, now);
             } else {
                 records.push(RequestRecord {
@@ -800,13 +932,6 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                     tier: 0,
                     fanout: fanout as u16,
                 });
-                states.push(ReqState {
-                    client,
-                    frontend,
-                    session,
-                    done: false,
-                    legs: (0..tree.total).map(|_| LegState::new()).collect(),
-                });
                 issue_leg!(id, 0usize, client, frontend, now);
             }
         }};
@@ -816,6 +941,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
         let now = ev.at;
         match ev.payload {
             Ev::Arrival { client } => {
+                // Keep the generator open-loop: when this batch's last
+                // arrival fires, the next batch is filed before this
+                // request does anything.
                 let c = client as usize;
                 outstanding[c] -= 1;
                 if outstanding[c] == 0 {
@@ -835,129 +963,127 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                 let leg = leg as usize;
                 let tier = tree.tier_of(leg);
                 let ctl = &tier_ctl[tier];
-                let max = ctl.base.as_ref().map(|p| p.max_attempts).unwrap_or(1);
-                let (resolved, deadline_at, src, dstn) = {
-                    let l = &states[id as usize].legs[leg];
-                    (l.resolved, l.deadline_at, l.src, l.dst)
+                let Some(policy) = &ctl.base else {
+                    continue; // only armed legs schedule retries
                 };
-                if resolved || now >= deadline_at {
+                let ix = lx(id, leg);
+                let l = legs[ix];
+                let deadline_at = l.sent + policy.deadline;
+                if l.resolved || now >= deadline_at {
                     continue;
                 }
                 // A crashed coordinator's outstanding sub-requests died
                 // with its VM: its timers go silent until the parent's
                 // own deadline names the outcome.
-                if nodes[src as usize].is_crashed() {
+                if nodes[l.src as usize].is_crashed() {
                     continue;
                 }
                 // The backoff timer firing means the outstanding
                 // attempt went unanswered — the breaker's failure
                 // signal, whether or not a retransmit follows.
                 if ctl.adaptive {
-                    dest_state[dix(tier, dstn)].breaker.on_timeout(now);
+                    dest_state[dix(tier, l.dst)].breaker.on_timeout(now);
                 }
-                if states[id as usize].legs[leg].attempts >= max {
+                if l.attempts >= policy.max_attempts {
                     continue;
                 }
                 // Chain the next backoff timer off this instant whether
                 // or not this retransmit is allowed out: a suppressed
                 // attempt must leave the leg a later chance (e.g. a
                 // breaker probe after the cooldown).
-                {
-                    let l = &mut states[id as usize].legs[leg];
-                    if let Some(delay) = l.backoff.get(l.next_backoff).copied() {
-                        l.next_backoff += 1;
-                        let at = now + delay;
-                        if at < l.deadline_at {
-                            q.schedule_at(at, Ev::Retry { id, leg: leg as u32 });
-                        }
+                let seed = leg_seed(retry_root, id, leg as u32);
+                let step = l.next_backoff as usize;
+                if let Some(&delay) = policy.backoff_schedule(seed).get(step) {
+                    legs[ix].next_backoff = l.next_backoff.saturating_add(1);
+                    let at = now + delay;
+                    if at < deadline_at {
+                        q.schedule_at(
+                            at,
+                            Ev::Retry {
+                                id,
+                                leg: leg as u32,
+                            },
+                        );
                     }
                 }
                 if ctl.adaptive {
-                    let d = &mut dest_state[dix(tier, dstn)];
+                    let d = &mut dest_state[dix(tier, l.dst)];
                     if !d.breaker.allow_attempt(now) || !d.budget.try_spend() {
                         rel.retries_suppressed += 1;
                         continue;
                     }
                 }
-                let (attempt, sent0) = {
-                    let l = &mut states[id as usize].legs[leg];
-                    let a = l.attempts as u8;
-                    l.attempts += 1;
-                    (a, l.sent)
-                };
+                let attempt = l.attempts as u8;
+                legs[ix].attempts += 1;
                 rel.retransmits += 1;
                 let mut frame = slab.take();
                 request_frame_into(
                     &cfg.svcload,
                     leg_frame_id(id, leg as u32),
-                    src,
-                    sent0,
+                    l.src,
+                    l.sent,
                     attempt,
                     &mut frame,
                 );
-                push_frame!(src, dstn, frame, now);
+                push_frame!(l.src, l.dst, frame, now);
             }
             Ev::Hedge { id, leg } => {
                 let leg = leg as usize;
                 let tier = tree.tier_of(leg);
                 let ctl = &tier_ctl[tier];
-                let max = ctl.base.as_ref().map(|p| p.max_attempts).unwrap_or(1);
-                let (resolved, deadline_at, src, dstn, attempts) = {
-                    let l = &states[id as usize].legs[leg];
-                    (l.resolved, l.deadline_at, l.src, l.dst, l.attempts)
+                let Some(policy) = &ctl.base else {
+                    continue; // only armed legs schedule hedges
                 };
-                if resolved || now >= deadline_at || attempts >= max {
+                let ix = lx(id, leg);
+                let l = legs[ix];
+                if l.resolved
+                    || now >= l.sent + policy.deadline
+                    || l.attempts >= policy.max_attempts
+                {
                     continue;
                 }
-                if nodes[src as usize].is_crashed() {
+                if nodes[l.src as usize].is_crashed() {
                     continue;
                 }
                 if ctl.adaptive {
-                    let d = &mut dest_state[dix(tier, dstn)];
+                    let d = &mut dest_state[dix(tier, l.dst)];
                     if !d.breaker.allow_attempt(now) || !d.budget.try_spend() {
                         rel.hedges_suppressed += 1;
                         continue;
                     }
                 }
-                let (attempt, sent0) = {
-                    let l = &mut states[id as usize].legs[leg];
-                    let a = l.attempts as u8;
-                    l.attempts += 1;
-                    l.hedge_attempt = Some(a);
-                    (a, l.sent)
-                };
+                let attempt = l.attempts as u8;
+                legs[ix].attempts += 1;
+                legs[ix].hedge_attempt = Some(attempt);
                 rel.hedges += 1;
                 let mut frame = slab.take();
                 request_frame_into(
                     &cfg.svcload,
                     leg_frame_id(id, leg as u32),
-                    src,
-                    sent0,
+                    l.src,
+                    l.sent,
                     attempt,
                     &mut frame,
                 );
-                push_frame!(src, dstn, frame, now);
+                push_frame!(l.src, l.dst, frame, now);
             }
             Ev::Deadline { id, leg } => {
                 let leg = leg as usize;
                 let tier = tree.tier_of(leg);
                 let ctl = &tier_ctl[tier];
-                let (resolved, nack_seen, corrupt_seen, dstn) = {
-                    let l = &states[id as usize].legs[leg];
-                    (l.resolved, l.nack_seen, l.corrupt_seen, l.dst)
-                };
-                if resolved {
+                let l = &mut legs[lx(id, leg)];
+                if l.resolved {
                     continue;
                 }
                 // A deadline expiring in silence (no NACK, no corrupt
                 // reply attributable) is a timeout signal too; a shed
                 // or corrupt story proves the destination reachable.
-                if ctl.adaptive && !nack_seen && !corrupt_seen {
-                    dest_state[dix(tier, dstn)].breaker.on_timeout(now);
+                if ctl.adaptive && !l.nack_seen && !l.corrupt_seen {
+                    dest_state[dix(tier, l.dst)].breaker.on_timeout(now);
                 }
-                let outcome = if nack_seen {
+                let outcome = if l.nack_seen {
                     RequestOutcome::Shed
-                } else if corrupt_seen {
+                } else if l.corrupt_seen {
                     RequestOutcome::Corrupt
                 } else if ctl.base.is_some() {
                     RequestOutcome::DeadlineExceeded
@@ -966,13 +1092,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                     // request failed fire-and-forget style.
                     RequestOutcome::Failed
                 };
-                {
-                    let l = &mut states[id as usize].legs[leg];
-                    l.resolved = true;
-                    l.outcome = outcome;
-                }
+                l.resolved = true;
+                l.outcome = outcome;
                 if leg == 0 {
-                    states[id as usize].done = true;
                     records[id as usize].outcome = outcome;
                     session_continue!(id, now);
                 } else {
@@ -1033,13 +1155,24 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                 slab.put(frame);
                                 continue;
                             }
+                            // Request lands: RX copy, dedupe check,
+                            // admission check, queue for the service
+                            // core, compute, then answer (response or
+                            // NACK) or fan out. Replies are encoded into
+                            // the request's own delivered buffer — the
+                            // slab keeps one payload allocation per
+                            // in-flight frame, not one per encode.
                             let ready = node.receive(now, &frame, horizon);
                             let leaf = tier == tree.depth();
                             if leaf {
-                                // Leaf dedupe rides the node response
-                                // cache, exactly as in the svcload loop:
-                                // at-most-once execution against the
-                                // issuer's at-least-once transmission.
+                                // A duplicate attempt (hedge/retransmit)
+                                // of a leg this server already admitted
+                                // replays the cached answer: at-most-once
+                                // execution against the issuer's
+                                // at-least-once transmission. It never
+                                // takes an admission slot or a second
+                                // service, and departs no earlier than
+                                // this RX and the original service.
                                 if let Some(done) = node.cached_response(raw) {
                                     rel.dups_absorbed += 1;
                                     response_frame_into(
@@ -1053,20 +1186,20 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                     push_frame!(dst, reply_to, frame, ready.max(done));
                                     continue;
                                 }
-                            } else if states[id as usize].legs[leg].started {
+                            } else if coords[cx(id, leg)].started {
                                 // Coordinator dedupe: the fan-out ran
                                 // already. Replay the join answer when
                                 // it exists; absorb silently while the
                                 // join is still pending (the original
                                 // flow will answer).
                                 rel.dups_absorbed += 1;
-                                let (ans, t) = {
-                                    let l = &states[id as usize].legs[leg];
-                                    (l.answer, ready.max(l.answer_at))
-                                };
-                                match ans {
+                                let c = &coords[cx(id, leg)];
+                                let t = ready.max(c.answer_at);
+                                match c.answer {
                                     Some(FrameKind::Nack) => {
-                                        nack_frame_into(raw, reply_to, sent_at, attempt, &mut frame);
+                                        nack_frame_into(
+                                            raw, reply_to, sent_at, attempt, &mut frame,
+                                        );
                                         push_frame!(dst, reply_to, frame, t);
                                     }
                                     Some(_) => {
@@ -1092,11 +1225,17 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                 continue;
                             }
                             // Tier by leg index: 0 = frontend work, else
-                            // backend leg work; each draws its multiplier
-                            // from its own (id, leg)-keyed stream.
+                            // backend leg work; a stochastic tier draws
+                            // its multiplier from its own (id, leg)-keyed
+                            // stream, a `Det` tier serves the base phase.
                             let dist = if leg == 0 { scn.service } else { scn.backend };
-                            let mut rng = SimRng::new(leg_seed(svc_root, id, leg as u32));
-                            let phase = scale_phase(&base_phase, dist.sample(&mut rng));
+                            let phase = match dist {
+                                ServiceDist::Det => base_phase,
+                                _ => {
+                                    let mut rng = SimRng::new(leg_seed(svc_root, id, leg as u32));
+                                    scale_phase(&base_phase, dist.sample(&mut rng))
+                                }
+                            };
                             let done = nodes[dst as usize].serve(ready, &phase, horizon);
                             if leaf {
                                 nodes[dst as usize].note_served(raw, done);
@@ -1116,33 +1255,29 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                 // so the first leg reuses it directly.
                                 slab.put(frame);
                                 {
-                                    let lst = &mut states[id as usize].legs[leg];
-                                    lst.started = true;
-                                    lst.serve_done = done;
-                                    lst.serve_attempt = attempt;
+                                    let c = &mut coords[cx(id, leg)];
+                                    c.started = true;
+                                    c.serve_done = done;
+                                    c.serve_attempt = attempt;
                                 }
                                 let deg = tree.degrees[tier];
                                 let need = tree.needed[tier];
                                 let p_local = dst as usize - clients;
                                 for j in 0..deg {
                                     let child = tree.child(leg, j);
-                                    let backend =
-                                        (clients + ((p_local + 1 + j) % servers)) as u16;
+                                    let backend = (clients + ((p_local + 1 + j) % servers)) as u16;
                                     if quarantined.contains(&backend) {
                                         // The backend failed attestation:
                                         // the coordinator refuses the leg
                                         // on the spot — resolved, no frame.
-                                        {
-                                            let clst =
-                                                &mut states[id as usize].legs[child];
-                                            clst.src = dst;
-                                            clst.dst = backend;
-                                            clst.sent = done;
-                                            clst.resolved = true;
-                                            clst.outcome = RequestOutcome::Refused;
-                                        }
+                                        let cl = &mut legs[lx(id, child)];
+                                        cl.src = dst;
+                                        cl.dst = backend;
+                                        cl.sent = done;
+                                        cl.resolved = true;
+                                        cl.outcome = RequestOutcome::Refused;
                                         stats.legs_refused += 1;
-                                        states[id as usize].legs[leg].bad_children += 1;
+                                        coords[cx(id, leg)].bad_children += 1;
                                         continue;
                                     }
                                     issue_leg!(id, child, dst, backend, done);
@@ -1150,12 +1285,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                 // Enough refused legs can make the quorum
                                 // arithmetically impossible before any
                                 // reply: fail fast with an upstream NACK.
-                                let (bad, jd) = {
-                                    let l = &states[id as usize].legs[leg];
-                                    (l.bad_children, l.join_done)
-                                };
-                                if !jd && bad > deg as u32 - need {
-                                    states[id as usize].legs[leg].join_done = true;
+                                let c = &mut coords[cx(id, leg)];
+                                if !c.join_done && c.bad_children > deg as u32 - need {
+                                    c.join_done = true;
                                     stats.joins_failed += 1;
                                     answer_upstream!(id, leg, FrameKind::Nack, done);
                                 }
@@ -1188,63 +1320,45 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                             }
                             let tier = tree.tier_of(leg);
                             let ctl = &tier_ctl[tier];
+                            let l = &mut legs[lx(id, leg)];
+                            if l.resolved {
+                                continue; // duplicate answer after resolution
+                            }
                             match kind {
                                 FrameKind::Response => {
-                                    let (already, sent0, dstn, hedge_hit) = {
-                                        let l = &states[id as usize].legs[leg];
-                                        (
-                                            l.resolved,
-                                            l.sent,
-                                            l.dst,
-                                            l.hedge_attempt == Some(attempt),
-                                        )
-                                    };
-                                    if already {
-                                        continue; // duplicate answer after resolution
-                                    }
-                                    let lat = done.saturating_sub(sent0);
+                                    let lat = done.saturating_sub(l.sent);
                                     if ctl.adaptive {
                                         // Feed the live distribution and
                                         // clear the breaker's streak.
-                                        let d = &mut dest_state[dix(tier, dstn)];
+                                        let d = &mut dest_state[dix(tier, l.dst)];
                                         d.tracker.record(lat.as_nanos().max(1));
                                         d.breaker.on_success();
                                     }
-                                    {
-                                        let l = &mut states[id as usize].legs[leg];
-                                        l.resolved = true;
-                                        l.completed = Some(done);
-                                        l.outcome = if hedge_hit {
-                                            RequestOutcome::OkHedged { attempt }
-                                        } else {
-                                            RequestOutcome::Ok { attempt }
-                                        };
-                                    }
+                                    l.resolved = true;
+                                    l.completed = done;
+                                    l.outcome = if l.hedge_attempt == Some(attempt) {
+                                        RequestOutcome::OkHedged { attempt }
+                                    } else {
+                                        RequestOutcome::Ok { attempt }
+                                    };
                                     stats.tier1.record(lat.as_nanos().max(1) as f64);
                                     stats.legs_ok += 1;
                                     resolve_child!(id, leg, true, true, done);
                                 }
                                 FrameKind::Nack => {
-                                    if states[id as usize].legs[leg].resolved {
-                                        continue;
-                                    }
                                     if ctl.adaptive {
                                         // A NACK proves the destination
                                         // reachable.
-                                        let dstn = states[id as usize].legs[leg].dst;
-                                        dest_state[dix(tier, dstn)].breaker.on_success();
+                                        dest_state[dix(tier, l.dst)].breaker.on_success();
                                     }
                                     if ctl.base.is_some() {
                                         // Retries may still land this
                                         // leg; the deadline owns the
                                         // terminal outcome.
-                                        states[id as usize].legs[leg].nack_seen = true;
+                                        l.nack_seen = true;
                                     } else {
-                                        {
-                                            let l = &mut states[id as usize].legs[leg];
-                                            l.resolved = true;
-                                            l.outcome = RequestOutcome::Shed;
-                                        }
+                                        l.resolved = true;
+                                        l.outcome = RequestOutcome::Shed;
                                         stats.legs_shed += 1;
                                         resolve_child!(id, leg, false, true, done);
                                     }
@@ -1257,7 +1371,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                             // still pays the copy (if the VM is up),
                             // then the checksum rejects it. A surviving
                             // header attributes a corrupt *reply* to
-                            // its leg so the deadline names `Corrupt`.
+                            // its leg so the deadline names `Corrupt`;
+                            // a corrupt request is left to the issuer's
+                            // retry path (or deadline).
                             rel.corrupt_rx += 1;
                             if !nodes[dst as usize].is_crashed() {
                                 let _ = nodes[dst as usize].receive(now, &frame, horizon);
@@ -1265,11 +1381,8 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                             if let FrameError::Corrupt(Some(h)) = e {
                                 let (id, leg) = split_frame_id(h.id);
                                 let leg = leg as usize;
-                                if leg > 0 {
-                                    if let Some(l) = states
-                                        .get_mut(id as usize)
-                                        .and_then(|st| st.legs.get_mut(leg))
-                                    {
+                                if leg > 0 && leg < tree.total {
+                                    if let Some(l) = legs.get_mut(lx(id, leg)) {
                                         if !l.resolved && l.src == dst {
                                             l.corrupt_seen = true;
                                         }
@@ -1286,48 +1399,43 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                             let done = nodes[dst as usize].receive(now, &frame, horizon);
                             slab.put(frame);
                             let (id, _) = split_frame_id(h.id);
-                            if states[id as usize].done {
-                                continue;
+                            let l0 = &mut legs[lx(id, 0)];
+                            if l0.resolved {
+                                continue; // duplicate answer after resolution
                             }
                             match h.kind {
                                 FrameKind::Response => {
-                                    let lat = done.saturating_sub(h.sent);
-                                    let (frontend, outcome) = {
-                                        let st = &mut states[id as usize];
-                                        st.done = true;
-                                        let outcome =
-                                            if st.legs[0].hedge_attempt == Some(h.attempt) {
-                                                RequestOutcome::OkHedged { attempt: h.attempt }
-                                            } else {
-                                                RequestOutcome::Ok { attempt: h.attempt }
-                                            };
-                                        let l0 = &mut st.legs[0];
-                                        l0.resolved = true;
-                                        l0.completed = Some(done);
-                                        l0.outcome = outcome;
-                                        (st.frontend, outcome)
+                                    let lat = done.saturating_sub(h.sent).as_nanos().max(1);
+                                    let outcome = if l0.hedge_attempt == Some(h.attempt) {
+                                        RequestOutcome::OkHedged { attempt: h.attempt }
+                                    } else {
+                                        RequestOutcome::Ok { attempt: h.attempt }
                                     };
-                                    latency.record(lat.as_nanos().max(1) as f64);
-                                    stats.tier0.record(lat.as_nanos().max(1) as f64);
-                                    nodes[dst as usize]
-                                        .latency_hist
-                                        .record(lat.as_nanos().max(1) as f64);
+                                    l0.resolved = true;
+                                    l0.completed = done;
+                                    l0.outcome = outcome;
+                                    if tier_ctl[0].adaptive {
+                                        // Feed the live distribution and
+                                        // clear the breaker's streak.
+                                        let d = &mut dest_state[dix(0, l0.dst)];
+                                        d.tracker.record(lat);
+                                        d.breaker.on_success();
+                                    }
+                                    latency.record(lat as f64);
+                                    nodes[dst as usize].latency_hist.record(lat as f64);
                                     let rec = &mut records[id as usize];
                                     rec.completed = Some(done);
                                     rec.outcome = outcome;
                                     completed += 1;
-                                    if tier_ctl[0].adaptive {
-                                        let d = &mut dest_state[dix(0, frontend)];
-                                        d.tracker.record(lat.as_nanos().max(1));
-                                        d.breaker.on_success();
-                                    }
                                     session_continue!(id, done);
                                 }
                                 FrameKind::Nack => {
-                                    let frontend = states[id as usize].frontend;
-                                    states[id as usize].legs[0].nack_seen = true;
+                                    l0.nack_seen = true;
+                                    // A NACK is proof of reachability:
+                                    // the breaker detects silent
+                                    // destinations, not loaded ones.
                                     if tier_ctl[0].adaptive {
-                                        dest_state[dix(0, frontend)].breaker.on_success();
+                                        dest_state[dix(0, l0.dst)].breaker.on_success();
                                     }
                                 }
                                 FrameKind::Request => {}
@@ -1337,14 +1445,13 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                             rel.corrupt_rx += 1;
                             let _ = nodes[dst as usize].receive(now, &frame, horizon);
                             slab.put(frame);
-                            if let Some(st) = hdr.and_then(|h| {
-                                let (id, _) = split_frame_id(h.id);
-                                states.get_mut(id as usize)
-                            }) {
-                                if !st.done {
-                                    if let Some(l0) = st.legs.get_mut(0) {
-                                        l0.corrupt_seen = true;
-                                    }
+                            // The header survived (the corrupt gate flips
+                            // payload bytes), so the damage is attributable.
+                            if let Some(l0) =
+                                hdr.and_then(|h| legs.get_mut(lx(split_frame_id(h.id).0, 0)))
+                            {
+                                if !l0.resolved {
+                                    l0.corrupt_seen = true;
                                 }
                             }
                         }
@@ -1357,53 +1464,50 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     let elapsed = q.now();
 
     // End-of-run sweep: name every open outcome explicitly — client
-    // requests first, then legs (armed legs always resolved through
-    // their deadline event; only fire-and-forget legs can reach the
-    // sweep open).
-    for (id, st) in states.iter_mut().enumerate() {
-        let rec = &mut records[id];
-        if !st.done {
-            st.done = true;
-            let l0 = &mut st.legs[0];
-            if !l0.resolved {
-                l0.resolved = true;
-                l0.outcome = if l0.nack_seen {
-                    RequestOutcome::Shed
-                } else if l0.corrupt_seen {
-                    RequestOutcome::Corrupt
-                } else {
-                    RequestOutcome::Failed
-                };
-            }
+    // requests first, then legs. Armed legs always resolved through
+    // their deadline event; only fire-and-forget legs (and requests
+    // with no deadline timer) reach the sweep open.
+    let open_outcome = |l: &LegState| {
+        if l.nack_seen {
+            RequestOutcome::Shed
+        } else if l.corrupt_seen {
+            RequestOutcome::Corrupt
+        } else {
+            RequestOutcome::Failed
+        }
+    };
+    let requests = records.len();
+    for (id, rec) in records.iter_mut().enumerate() {
+        let id = id as u64;
+        let l0 = &mut legs[lx(id, 0)];
+        if !l0.resolved {
+            l0.resolved = true;
+            l0.outcome = open_outcome(l0);
             rec.outcome = l0.outcome;
         }
-        if let Some(l0) = st.legs.first() {
-            rec.attempts = rec.attempts.max(l0.attempts);
-        }
-        for (leg, l) in st.legs.iter_mut().enumerate() {
-            if leg > 0 && l.issued && !l.resolved {
+        rec.attempts = rec.attempts.max(l0.attempts);
+        for leg in 1..tree.total {
+            let l = &mut legs[lx(id, leg)];
+            if l.attempts > 0 && !l.resolved {
                 l.resolved = true;
-                l.outcome = if l.nack_seen {
-                    RequestOutcome::Shed
-                } else if l.corrupt_seen {
-                    RequestOutcome::Corrupt
-                } else {
-                    RequestOutcome::Failed
-                };
+                l.outcome = open_outcome(l);
                 if l.outcome == RequestOutcome::Shed {
                     stats.legs_shed += 1;
                 } else {
                     stats.legs_failed += 1;
                 }
             }
-            if l.started && !l.join_done {
-                l.join_done = true;
+        }
+        for leg in 0..tree.coordinators {
+            let c = &mut coords[cx(id, leg)];
+            if c.started && !c.join_done {
+                c.join_done = true;
                 stats.joins_failed += 1;
             }
         }
     }
     rel.breaker_opens = dest_state.iter().map(|d| d.breaker.opens).sum();
-    for rec in records.iter() {
+    for rec in &records {
         match rec.outcome {
             RequestOutcome::Ok { .. } => rel.outcomes.ok += 1,
             RequestOutcome::OkHedged { .. } => rel.outcomes.ok_hedged += 1,
@@ -1419,17 +1523,18 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     // issuing coordinator as the row's client. Slots whose parent
     // never served were never materialised and produce no row. The
     // CSV carries the whole tree.
-    for (id, st) in states.iter().enumerate() {
-        for (leg, l) in st.legs.iter().enumerate().skip(1) {
-            if !(l.issued || l.resolved) {
+    for id in 0..requests as u64 {
+        for leg in 1..tree.total {
+            let l = &legs[lx(id, leg)];
+            if l.attempts == 0 && !l.resolved {
                 continue;
             }
             records.push(RequestRecord {
-                id: id as u64,
+                id,
                 client: l.src,
                 server: l.dst,
                 sent: l.sent,
-                completed: l.completed,
+                completed: (l.completed != Nanos::MAX).then_some(l.completed),
                 attempts: l.attempts,
                 outcome: l.outcome,
                 tier: tree.tier_of(leg) as u8,
@@ -1438,6 +1543,29 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
         }
     }
 
+    // Conservation: every request and every issued leg reached exactly
+    // one terminal outcome, and the counters agree with the trace.
+    debug_assert_eq!(requests as u64, sent, "one tier-0 row per request");
+    debug_assert_eq!(rel.outcomes.total(), sent, "one outcome per request");
+    debug_assert_eq!(rel.outcomes.good(), completed, "ok outcomes == completed");
+    debug_assert_eq!(
+        latency.count(),
+        completed,
+        "one latency sample per completion"
+    );
+    debug_assert_eq!(
+        stats.legs_ok + stats.legs_shed + stats.legs_failed,
+        stats.legs_sent,
+        "one outcome per issued leg"
+    );
+    debug_assert_eq!(
+        (records.len() - requests) as u64,
+        stats.legs_sent + stats.legs_refused,
+        "one trace row per issued or refused leg"
+    );
+
+    // Final sweep: every node replays noise out to the fixed horizon, so
+    // the noise histograms cover the same window regardless of traffic.
     let per_node = nodes
         .iter_mut()
         .map(|n| {
@@ -1476,7 +1604,7 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
         fault_stats: fabric.faults.stats,
         reliability: rel,
         recoveries,
-        scenario: Some(stats),
+        scenario: (plan == StreamPlan::Scenario).then_some(stats),
         attestation,
         elapsed,
     }
@@ -1506,7 +1634,7 @@ mod tests {
         assert_eq!(s.fanout, 0);
         assert_eq!(s.depth, 0);
         assert_eq!(s.legs_sent, 0);
-        assert_eq!(s.tier0.count(), r.completed);
+        assert_eq!(r.latency.count(), r.completed);
         assert!(r.records.iter().all(|rec| rec.tier == 0));
     }
 
@@ -1537,8 +1665,6 @@ mod tests {
             .iter()
             .filter(|rec| rec.tier == 1)
             .all(|rec| rec.fanout == 3 && rec.outcome.is_ok()));
-        // Fan-out means the client answer waits on the slowest leg.
-        assert!(s.merged_latency().count() == s.tier0.count() + s.tier1.count());
     }
 
     #[test]
@@ -1786,7 +1912,10 @@ mod tests {
         );
         let r = crate::cluster::run(&cfg);
         assert!(r.sent > 20, "sent = {}", r.sent);
-        assert_eq!(r.completed, r.sent, "clean fabric closes every session turn");
+        assert_eq!(
+            r.completed, r.sent,
+            "clean fabric closes every session turn"
+        );
         // Closed loop bounds outstanding work: per client, never more
         // requests than sessions * (duration / think) and always some.
         let per_client_cap =
@@ -1921,5 +2050,30 @@ mod tests {
             "surviving duplicates must dedupe at the server"
         );
         assert_eq!(crate::cluster::run(&cfg).csv(), r.csv());
+    }
+
+    #[test]
+    fn depth0_request_state_fits_the_svcload_budget() {
+        // A depth-0 (svcload) request keeps one 32 B issuer-side leg
+        // and no coordinator state.
+        let tree = LegTree::build(&Scenario::default(), 4);
+        assert_eq!((tree.total, tree.coordinators), (1, 0));
+        assert_eq!(std::mem::size_of::<LegState>(), 32);
+        // Coordinator state covers exactly the non-leaf legs.
+        let deep = LegTree::build(&crate::figures::scenario_for_depth(3, 500), 8);
+        assert_eq!(deep.coordinators, deep.start[deep.depth()]);
+        assert_eq!(deep.tier_of(deep.coordinators), deep.depth());
+    }
+
+    #[test]
+    fn svcload_plan_keeps_the_per_request_retry_stream() {
+        use kh_workloads::svcload::retry_seed;
+        for seed in [1u64, 9, 0xFFFF_FFFF_FFFF] {
+            let root = SimRng::new(seed ^ 0x6B68_7274_7279).next_u64(); // "khrtry"
+            let lowered = StreamPlan::Svcload.retry_root(seed);
+            for id in [0u64, 1, 77, 1 << 40] {
+                assert_eq!(leg_seed(lowered, id, 0), retry_seed(root, id));
+            }
+        }
     }
 }

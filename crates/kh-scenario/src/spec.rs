@@ -285,7 +285,12 @@ pub struct ClosedLoop {
 
 impl fmt::Display for ClosedLoop {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:think:{}ns", self.sessions, self.think_mean.as_nanos())?;
+        write!(
+            f,
+            "{}:think:{}ns",
+            self.sessions,
+            self.think_mean.as_nanos()
+        )?;
         if self.think != ServiceDist::Det {
             write!(f, ":{}", self.think)?;
         }
@@ -617,7 +622,8 @@ impl Scenario {
             got => {
                 return Err(ScenarioError::LegOverflow(format!(
                     "the fan-out tree needs {} leg ids but frame ids have room for {MAX_LEGS}",
-                    got.map(|l| l.to_string()).unwrap_or_else(|| "> usize".into())
+                    got.map(|l| l.to_string())
+                        .unwrap_or_else(|| "> usize".into())
                 )))
             }
         }
@@ -1256,9 +1262,10 @@ colocate=nas-cg:6
 
     #[test]
     fn parse_closed_loop_and_retry_spec() {
-        let scn =
-            Scenario::parse("clients=4:think:1ms:exp,svc=exp,fanout=3:all,retry=client:adaptive,retry=t1:off")
-                .unwrap();
+        let scn = Scenario::parse(
+            "clients=4:think:1ms:exp,svc=exp,fanout=3:all,retry=client:adaptive,retry=t1:off",
+        )
+        .unwrap();
         assert_eq!(
             scn.clients,
             Some(ClosedLoop {
@@ -1292,10 +1299,7 @@ colocate=nas-cg:6
         assert_eq!(fits.total_legs(), Some(61_505));
         roundtrip(&fits);
         let err = Scenario::parse("fanout=64:all,tier=2:64:all,tier=3:15:all").expect_err("15");
-        assert!(
-            matches!(err, ScenarioError::LegOverflow(_)),
-            "got {err:?}"
-        );
+        assert!(matches!(err, ScenarioError::LegOverflow(_)), "got {err:?}");
         assert!(err.to_string().contains("65601"), "{err}");
         // A hand-built tree that overflows usize itself is still a
         // typed LegOverflow, not a panic.

@@ -495,7 +495,6 @@ mod cluster_determinism {
         use kitten_hafnium::cluster::figures;
         use kitten_hafnium::scenario::Scenario;
         use kitten_hafnium::workloads::adaptive::AdaptivePolicy;
-        use kitten_hafnium::workloads::svcload::RetryPolicy;
 
         let scn = Scenario::parse(
             "clients=4:think:400us,svc=det,backend=det,\
@@ -538,8 +537,6 @@ mod cluster_determinism {
                 &faults,
                 &[1, 2],
                 2500,
-                RetryPolicy::default(),
-                AdaptivePolicy::default(),
             );
             pool::set_jobs(1);
             rows.iter()
@@ -559,5 +556,230 @@ mod cluster_determinism {
         for jobs in [2, 4] {
             assert_eq!(serial, fingerprint(jobs), "jobs={jobs}");
         }
+    }
+}
+
+/// Golden byte-identity: pinned digests of what the cluster simulation
+/// decided — the per-request CSV, every node's noise histogram, and the
+/// reliability counters — over a matrix of svcload configs and tiered
+/// scenarios. Replay tests only compare a run against itself; these
+/// digests fail the moment any simulated behaviour moves, so a refactor
+/// of the executor has to keep every run byte-identical to pass.
+mod golden {
+    use kitten_hafnium::cluster::{self, AdmissionPolicy, ClusterConfig, ClusterReport};
+    use kitten_hafnium::core::config::StackKind;
+    use kitten_hafnium::scenario::Scenario;
+    use kitten_hafnium::sim::fault::FabricFaultSpec;
+    use kitten_hafnium::sim::Nanos;
+    use kitten_hafnium::virtio::checksum;
+    use kitten_hafnium::workloads::adaptive::AdaptivePolicy;
+    use kitten_hafnium::workloads::svcload::{RetryPolicy, SvcLoadConfig};
+
+    /// FNV-1a over the CSV, each node's noise histogram and the
+    /// reliability counters, piece by piece.
+    fn digest(r: &ClusterReport) -> u64 {
+        let mut sums = Vec::new();
+        let mut add =
+            |piece: &str| sums.extend_from_slice(&checksum(piece.as_bytes()).to_le_bytes());
+        add(&r.csv());
+        for n in &r.per_node {
+            add(&format!("{:?}", n.noise_hist));
+        }
+        add(&format!("{:?}", r.reliability));
+        checksum(&sums)
+    }
+
+    fn faults(spec: &str, seed: u64) -> Option<(FabricFaultSpec, u64)> {
+        Some((FabricFaultSpec::parse(spec).unwrap(), seed))
+    }
+
+    /// The eleven scenario-less policies, applied to a 4-node config
+    /// (clients 0-1, servers 2-3).
+    fn svcload_policy(name: &str, cfg: &mut ClusterConfig) {
+        let server = cfg.clients();
+        match name {
+            "plain" => {}
+            "drop-jitter-reorder" => {
+                cfg.faults = faults("drop:0.05,jitter:0.2:50us,reorder:0.05", 3)
+            }
+            "drop-retry" => {
+                cfg.faults = faults("drop:0.05", 3);
+                cfg.retry = Some(RetryPolicy::default());
+            }
+            "hedge" => {
+                cfg.faults = faults("drop:0.1", 5);
+                cfg.retry = Some(RetryPolicy {
+                    hedge_delay: Some(Nanos::from_micros(900)),
+                    ..RetryPolicy::default()
+                });
+            }
+            "fixed-overload" => {
+                cfg.svcload.mean_interarrival = Nanos::from_micros(40);
+                cfg.admission = AdmissionPolicy::Fixed { limit: 2 };
+                cfg.retry = Some(RetryPolicy::default());
+            }
+            "adaptive" => cfg.adaptive = Some(AdaptivePolicy::default()),
+            "adaptive-partition" => {
+                cfg.faults = faults(&format!("partition@10ms:5ms:{server}"), 3);
+                cfg.adaptive = Some(AdaptivePolicy::default());
+            }
+            "corrupt-retry" => {
+                cfg.faults = faults("corrupt:0.1", 7);
+                cfg.retry = Some(RetryPolicy::default());
+            }
+            "crashsvc-retry" => {
+                cfg.faults = faults(&format!("crashsvc@10ms:{server}"), 1);
+                cfg.retry = Some(RetryPolicy::default());
+            }
+            "attest-tamper" => {
+                cfg.attest = true;
+                cfg.faults = faults("tamper@3", 1);
+            }
+            "adaptive-overload" => {
+                cfg.svcload.mean_interarrival = Nanos::from_micros(40);
+                cfg.adaptive = Some(AdaptivePolicy::default());
+            }
+            other => panic!("unknown policy {other}"),
+        }
+    }
+
+    /// One digest per policy over 3 stacks x seeds {1, 9, 33}.
+    const SVCLOAD_GOLDEN: [(&str, u64); 11] = [
+        ("plain", 0x8f9d_33f2_4c69_4ad0),
+        ("drop-jitter-reorder", 0xb35b_1913_08a5_2713),
+        ("drop-retry", 0xe15a_e818_b878_e66b),
+        ("hedge", 0x8ef9_91ec_2710_224a),
+        ("fixed-overload", 0x9264_c53e_3738_b1da),
+        ("adaptive", 0x1a08_ffe5_33e5_3092),
+        ("adaptive-partition", 0x8eb9_b14f_984c_f004),
+        ("corrupt-retry", 0x459b_a732_4441_0975),
+        ("crashsvc-retry", 0x9be8_e1dc_f50d_2eaf),
+        ("attest-tamper", 0xbd37_1675_7cd6_a495),
+        ("adaptive-overload", 0xf2ab_1d87_9b21_d556),
+    ];
+
+    #[test]
+    fn svcload_matrix_matches_golden_digests() {
+        let mut failures = Vec::new();
+        for (name, want) in SVCLOAD_GOLDEN {
+            let mut sums = Vec::new();
+            for stack in StackKind::CLUSTER_ARMS {
+                for seed in [1, 9, 33] {
+                    let mut cfg = ClusterConfig::new(4, stack, seed);
+                    cfg.svcload = SvcLoadConfig::quick();
+                    svcload_policy(name, &mut cfg);
+                    sums.extend_from_slice(&digest(&cluster::run(&cfg)).to_le_bytes());
+                }
+            }
+            let got = checksum(&sums);
+            if got != want {
+                failures.push(format!("{name}: {got:#018x} (pinned {want:#018x})"));
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "digests moved:\n{}",
+            failures.join("\n")
+        );
+    }
+
+    /// Tiered scenarios at 8 nodes: depth 0, 1 and 3, open and closed
+    /// loop, static, adaptive and per-leg `retry=` overrides, with
+    /// drops, corruption and a mid-run service-VM crash.
+    fn scenario_cases() -> Vec<(&'static str, ClusterConfig)> {
+        let case = |spec: &str, seed: u64, tweak: &dyn Fn(&mut ClusterConfig)| {
+            let mut cfg = ClusterConfig::new(8, StackKind::HafniumKitten, seed);
+            cfg.svcload = SvcLoadConfig::quick();
+            cfg.scenario = Some(Scenario::parse(spec).unwrap());
+            tweak(&mut cfg);
+            cfg
+        };
+        vec![
+            (
+                "depth0-open",
+                case("arrive=exp:500us,svc=exp", 3, &|_| {}),
+            ),
+            (
+                "depth0-closed-retry",
+                case("clients=4:think:300us,svc=det", 5, &|c| {
+                    c.faults = faults("drop:0.05", 2);
+                    c.retry = Some(RetryPolicy::default());
+                }),
+            ),
+            (
+                "depth1-quorum-adaptive",
+                case(
+                    "arrive=exp:800us,svc=det,backend=exp,fanout=3:quorum:2",
+                    7,
+                    &|c| {
+                        c.server_stack = StackKind::HafniumLinux;
+                        c.faults = faults("drop:0.04,corrupt:0.02", 4);
+                        c.adaptive = Some(AdaptivePolicy::default());
+                    },
+                ),
+            ),
+            (
+                "depth1-retry-override",
+                case(
+                    "arrive=exp:1ms,svc=det,backend=det,fanout=2:all,retry=t1:adaptive",
+                    29,
+                    &|c| {
+                        c.faults = faults("drop:0.08", 2);
+                        c.retry = Some(RetryPolicy::default());
+                    },
+                ),
+            ),
+            (
+                "depth3-adaptive-crash",
+                case(
+                    "arrive=exp:2ms,svc=det,backend=det,fanout=2:quorum:1,tier=2:2:all,tier=3:1:all",
+                    19,
+                    &|c| {
+                        c.server_stack = StackKind::NativeTheseus;
+                        c.faults = faults("drop:0.02,crashsvc@20ms:5", 6);
+                        c.adaptive = Some(AdaptivePolicy::default());
+                    },
+                ),
+            ),
+            (
+                "depth3-closed-overrides",
+                case(
+                    "clients=4:think:400us,svc=det,backend=exp,fanout=2:quorum:1,\
+                     tier=2:1:all,tier=3:1:all,retry=t2:static,retry=t1:adaptive",
+                    41,
+                    &|c| {
+                        c.faults = faults("drop:0.04,crashsvc@20ms:5", 0xFA);
+                        c.retry = Some(RetryPolicy::default());
+                    },
+                ),
+            ),
+        ]
+    }
+
+    const SCENARIO_GOLDEN: [(&str, u64); 6] = [
+        ("depth0-open", 0x5fc2_39da_7857_8a29),
+        ("depth0-closed-retry", 0x1aef_f9d1_3d73_6fee),
+        ("depth1-quorum-adaptive", 0x6638_85f4_bf90_102a),
+        ("depth1-retry-override", 0x16e0_5bad_e0d2_2f18),
+        ("depth3-adaptive-crash", 0x702a_fe0a_249d_4c73),
+        ("depth3-closed-overrides", 0xa77b_f7c3_3d8f_86e1),
+    ];
+
+    #[test]
+    fn scenarios_match_golden_digests() {
+        let mut failures = Vec::new();
+        for ((name, cfg), (pinned_name, want)) in scenario_cases().into_iter().zip(SCENARIO_GOLDEN)
+        {
+            assert_eq!(name, pinned_name);
+            let got = digest(&cluster::run(&cfg));
+            if got != want {
+                failures.push(format!("{name}: {got:#018x} (pinned {want:#018x})"));
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "digests moved:\n{}",
+            failures.join("\n")
+        );
     }
 }

@@ -614,7 +614,9 @@ fn a_mid_scenario_crash_stays_confined_to_chains_through_the_victim() {
     // Sanity: the healthy slice really exercises every tier.
     for t in 0..=3u8 {
         assert!(
-            clean_chains.iter().any(|s| s.contains(&format!("tier: {t}"))),
+            clean_chains
+                .iter()
+                .any(|s| s.contains(&format!("tier: {t}"))),
             "no healthy-chain rows at tier {t}"
         );
     }

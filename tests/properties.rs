@@ -333,6 +333,92 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Cluster conservation
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every generated request and every issued leg reaches exactly one
+    /// terminal outcome, and the report's counters agree with its trace,
+    /// for any stack, fault menu, retry policy, tree depth and loop
+    /// kind. The executor debug-asserts the same equalities; this test
+    /// checks them in release builds too.
+    #[test]
+    fn cluster_runs_conserve_requests_and_legs(
+        seed in any::<u64>(),
+        stack_ix in 0usize..3,
+        fault_ix in 0usize..7,
+        policy in 0usize..3,
+        shape in 0usize..5,
+        closed in any::<bool>(),
+    ) {
+        use kitten_hafnium::cluster::{self, ClusterConfig};
+        use kitten_hafnium::core::config::StackKind;
+        use kitten_hafnium::scenario::Scenario;
+        use kitten_hafnium::sim::fault::FabricFaultSpec;
+        use kitten_hafnium::workloads::adaptive::AdaptivePolicy;
+        use kitten_hafnium::workloads::svcload::{RetryPolicy, SvcLoadConfig};
+
+        let mut cfg = ClusterConfig::new(8, StackKind::CLUSTER_ARMS[stack_ix], seed);
+        cfg.svcload = SvcLoadConfig::quick();
+        // Servers are nodes 4-7; node 5 takes the targeted faults.
+        let faults = [
+            "",
+            "drop:0.05",
+            "drop:0.03,corrupt:0.03",
+            "drop:0.02,jitter:0.2:40us,reorder:0.05",
+            "partition@10ms:8ms:5",
+            "crashsvc@15ms:5",
+            "tamper@5",
+        ][fault_ix];
+        if !faults.is_empty() {
+            cfg.faults = Some((FabricFaultSpec::parse(faults).unwrap(), seed ^ 0xFA));
+        }
+        cfg.attest = faults.starts_with("tamper");
+        match policy {
+            0 => {}
+            1 => cfg.retry = Some(RetryPolicy::default()),
+            _ => cfg.adaptive = Some(AdaptivePolicy::default()),
+        }
+        // Shape 0 is plain svcload; 1-4 are scenarios of depth 0-3.
+        if shape > 0 {
+            let mut spec = String::from(if closed {
+                "clients=2:think:600us,svc=exp,backend=exp"
+            } else {
+                "arrive=exp:700us,svc=exp,backend=exp"
+            });
+            let tiers = [",fanout=2:quorum:1", ",tier=2:2:all", ",tier=3:1:all"];
+            for clause in &tiers[..shape - 1] {
+                spec.push_str(clause);
+            }
+            cfg.scenario = Some(Scenario::parse(&spec).unwrap());
+        }
+
+        let r = cluster::run(&cfg);
+        let tier0 = r.records.iter().filter(|rec| rec.tier == 0).count() as u64;
+        let outcomes = &r.reliability.outcomes;
+        prop_assert!(r.sent > 0);
+        prop_assert_eq!(tier0, r.sent);
+        prop_assert_eq!(outcomes.total(), r.sent);
+        prop_assert_eq!(outcomes.ok + outcomes.ok_hedged, r.completed);
+        prop_assert_eq!(r.latency.count(), r.completed);
+        match &r.scenario {
+            Some(s) => {
+                prop_assert_eq!(s.depth, shape - 1);
+                prop_assert_eq!(s.legs_ok + s.legs_shed + s.legs_failed, s.legs_sent);
+                let leg_rows = r.records.len() as u64 - tier0;
+                prop_assert_eq!(leg_rows, s.legs_sent + s.legs_refused);
+            }
+            None => {
+                prop_assert_eq!(shape, 0);
+                prop_assert_eq!(r.records.len() as u64, r.sent);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Shared ring + virtqueue (the paravirtual I/O substrates)
 // ---------------------------------------------------------------------
 
