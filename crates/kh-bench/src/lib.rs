@@ -6,6 +6,7 @@
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! comparison each target feeds.
 
+pub mod harness;
 pub mod legacy;
 
 use kh_core::config::StackKind;

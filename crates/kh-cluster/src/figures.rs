@@ -30,15 +30,17 @@ pub fn ablation_cluster(nodes: usize, seed: u64, svcload: SvcLoadConfig) -> Vec<
     })
 }
 
+/// Nanoseconds as a table cell in microseconds, `-` when undefined.
+fn us(v: f64) -> String {
+    if v.is_nan() {
+        "-".to_string()
+    } else {
+        format!("{:.1}", v / 1_000.0)
+    }
+}
+
 /// Render the two-arm comparison as the paper-style table.
 pub fn render_cluster(reports: &[ClusterReport]) -> String {
-    let us = |v: f64| {
-        if v.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{:.1}", v / 1_000.0)
-        }
-    };
     let nodes = reports.first().map(|r| r.nodes).unwrap_or(0);
     let mut t = Table::new(
         format!("cluster svcload tail latency, {nodes} nodes (us)"),
@@ -119,13 +121,6 @@ pub fn reliability_matrix(
 
 /// Render the reliability matrix as a table.
 pub fn render_reliability(rows: &[(String, bool, ClusterReport)]) -> String {
-    let us = |v: f64| {
-        if v.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{:.1}", v / 1_000.0)
-        }
-    };
     let nodes = rows.first().map(|(_, _, r)| r.nodes).unwrap_or(0);
     let mut t = Table::new(
         format!("cluster reliability sweep, {nodes} nodes"),
@@ -178,6 +173,16 @@ impl ReliabilityPolicy {
             ReliabilityPolicy::Adaptive => "adaptive",
         }
     }
+
+    /// Arm this policy on `cfg`: `Static` sets `cfg.retry`, `Adaptive`
+    /// sets `cfg.adaptive`, `Off` leaves both unset.
+    pub fn apply(self, cfg: &mut ClusterConfig, retry: RetryPolicy, adaptive: AdaptivePolicy) {
+        match self {
+            ReliabilityPolicy::Off => {}
+            ReliabilityPolicy::Static => cfg.retry = Some(retry),
+            ReliabilityPolicy::Adaptive => cfg.adaptive = Some(adaptive),
+        }
+    }
 }
 
 /// One cell of the metastability grid.
@@ -227,11 +232,7 @@ pub fn metastability_sweep(
             let spec = FabricFaultSpec::parse(&format!("drop:{drop}")).expect("drop spec parses");
             cfg.faults = Some((spec, seed ^ 0xFAB5));
         }
-        match policy {
-            ReliabilityPolicy::Off => {}
-            ReliabilityPolicy::Static => cfg.retry = Some(static_policy),
-            ReliabilityPolicy::Adaptive => cfg.adaptive = Some(adaptive_policy),
-        }
+        policy.apply(&mut cfg, static_policy, adaptive_policy);
         cluster::run(&cfg)
     });
     combos
@@ -250,13 +251,6 @@ pub fn metastability_sweep(
 
 /// Render the metastability grid as a table.
 pub fn render_metastability(rows: &[MetastabilityRow]) -> String {
-    let us = |v: f64| {
-        if v.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{:.1}", v / 1_000.0)
-        }
-    };
     let nodes = rows.first().map(|r| r.report.nodes).unwrap_or(0);
     let mut t = Table::new(
         format!("metastability grid (load x drop x policy), {nodes} nodes"),
@@ -362,11 +356,7 @@ pub fn scenario_reliability(
             let spec = FabricFaultSpec::parse(s).expect("fault specs parse");
             cfg.faults = Some((spec, seed ^ 0xFAB5));
         }
-        match policy {
-            ReliabilityPolicy::Off => {}
-            ReliabilityPolicy::Static => cfg.retry = Some(RetryPolicy::default()),
-            ReliabilityPolicy::Adaptive => cfg.adaptive = Some(AdaptivePolicy::default()),
-        }
+        policy.apply(&mut cfg, RetryPolicy::default(), AdaptivePolicy::default());
         cluster::run(&cfg)
     });
     combos
@@ -386,13 +376,6 @@ pub fn scenario_reliability(
 
 /// Render the scenario-reliability grid as a table.
 pub fn render_scenario_reliability(rows: &[ScenarioReliabilityRow]) -> String {
-    let us = |v: f64| {
-        if v.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{:.1}", v / 1_000.0)
-        }
-    };
     let nodes = rows.first().map(|r| r.report.nodes).unwrap_or(0);
     let mut t = Table::new(
         format!("scenario reliability grid (stack x fault x depth x policy), {nodes} nodes"),
@@ -485,13 +468,6 @@ pub fn fanout_amplification(
 
 /// Render the fan-out sweep as the paper-style table.
 pub fn render_fanout(rows: &[(StackKind, usize, ClusterReport)]) -> String {
-    let us = |v: f64| {
-        if v.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{:.1}", v / 1_000.0)
-        }
-    };
     let nodes = rows.first().map(|(_, _, r)| r.nodes).unwrap_or(0);
     let amps = fanout_amplification(rows);
     let mut t = Table::new(
@@ -547,13 +523,6 @@ pub fn colocation_compare(
 
 /// Render the colocation comparison as a table.
 pub fn render_colocation(rows: &[(StackKind, bool, ClusterReport)]) -> String {
-    let us = |v: f64| {
-        if v.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{:.1}", v / 1_000.0)
-        }
-    };
     let nodes = rows.first().map(|(_, _, r)| r.nodes).unwrap_or(0);
     let mut t = Table::new(
         format!("scenario HPC colocation, {nodes} nodes"),
