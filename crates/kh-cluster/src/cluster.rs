@@ -16,14 +16,15 @@
 //! randomness belonging to node 5.
 
 use crate::fabric::{FabricStats, DEFAULT_QUEUE_DEPTH};
+use crate::figures::us;
 use crate::node::{AdmissionPolicy, NodeStats, Role};
-use crate::scenario::{execute, ScenarioStats, StreamPlan};
+use crate::scenario::{execute, ScenarioStats};
 use kh_arch::platform::Platform;
 use kh_core::config::StackKind;
 use kh_metrics::hist::LogHistogram;
 use kh_metrics::outcome::OutcomeCounters;
 use kh_metrics::table::Table;
-use kh_scenario::Scenario;
+use kh_scenario::{ArrivalShape, Scenario};
 use kh_sim::{FabricFaultSpec, FabricFaultStats, Nanos};
 use kh_workloads::adaptive::AdaptivePolicy;
 use kh_workloads::svcload::{RequestOutcome, RetryPolicy, SvcLoadConfig};
@@ -68,8 +69,9 @@ pub struct ClusterConfig {
     pub detect_latency: Nanos,
     /// Service-core time a restart costs (stage-2 rebuild, reboot).
     pub restart_cost: Nanos,
-    /// Traffic scenario. None runs svcload: open-loop arrivals, one
-    /// fixed-phase serve per request, no backend tier.
+    /// Traffic scenario. None runs svcload, the depth-0 scenario
+    /// `arrive=exp:<svcload.mean_interarrival>`: open-loop arrivals,
+    /// one fixed-phase serve per request, no backend tier.
     pub scenario: Option<Scenario>,
     /// Run the remote-attestation handshake ([`crate::attest`]) at
     /// bring-up, before any traffic. Nodes whose evidence fails the
@@ -220,13 +222,21 @@ pub struct ClusterReport {
 /// Run `cfg` over a freshly booted cluster.
 ///
 /// Every run goes through the one executor in [`crate::scenario`]. A
-/// config without a scenario is svcload, lowered to a depth-0 scenario
-/// (one leg per request, served by its frontend alone) that keeps
-/// svcload's arrival generator and stream roots.
+/// config without a scenario is svcload: the depth-0 scenario
+/// `arrive=exp:<mean_interarrival>` (one leg per request, served by its
+/// frontend alone). Its report carries no [`ScenarioStats`].
 pub fn run(cfg: &ClusterConfig) -> ClusterReport {
     match &cfg.scenario {
-        Some(scn) => execute(cfg, scn, StreamPlan::Scenario),
-        None => execute(cfg, &Scenario::default(), StreamPlan::Svcload),
+        Some(scn) => execute(cfg, scn),
+        None => execute(
+            cfg,
+            &Scenario {
+                arrival: ArrivalShape::Exp {
+                    mean: cfg.svcload.mean_interarrival,
+                },
+                ..Scenario::default()
+            },
+        ),
     }
 }
 
@@ -246,13 +256,6 @@ impl ClusterReport {
 
     /// Human-readable run summary.
     pub fn render(&self) -> String {
-        let us = |v: f64| {
-            if v.is_nan() {
-                "-".to_string()
-            } else {
-                format!("{:.1}", v / 1_000.0)
-            }
-        };
         let mut t = Table::new(
             format!(
                 "cluster svcload: {} nodes ({} clients -> {} {} servers), seed {}",

@@ -31,7 +31,7 @@ pub fn ablation_cluster(nodes: usize, seed: u64, svcload: SvcLoadConfig) -> Vec<
 }
 
 /// Nanoseconds as a table cell in microseconds, `-` when undefined.
-fn us(v: f64) -> String {
+pub(crate) fn us(v: f64) -> String {
     if v.is_nan() {
         "-".to_string()
     } else {

@@ -11,9 +11,9 @@
 //!
 //! svcload is the depth-0 case: one leg per request, served by the
 //! frontend alone. [`crate::cluster::run`] lowers a scenario-less
-//! [`ClusterConfig`] to [`Scenario::default`] under a private stream
-//! plan that keeps svcload's arrival generator and stream roots; the
-//! plan is the only difference from a real depth-0 scenario.
+//! [`ClusterConfig`] to `arrive=exp:<mean_interarrival>` at depth 0 and
+//! runs it here like any other scenario, so both draw from the same
+//! arrival generator and stream roots.
 //!
 //! Each server that owns a non-leaf leg is that leg's *coordinator*: it
 //! serves its own phase, fans out `d` child legs to distinct peers, and
@@ -46,12 +46,12 @@
 //! hits the victim, so healthy-node noise histograms stay bit-identical
 //! to a fault-free run.
 //!
-//! Randomness discipline: nodes ("khclus"), arrivals, service
-//! multipliers ("khscns"), HPC neighbors ("khscnh"), closed-loop think
-//! times ("khscnt"), retry backoff jitter, and breaker reopen jitter
-//! each ride their own stream root split off the run seed, and per-leg
-//! draws are keyed by [`leg_seed`] — a pure function of (root, id,
-//! leg). The stream plan picks the arrival, retry and breaker roots.
+//! Randomness discipline: nodes ("khclus"), arrivals ("khscna"),
+//! service multipliers ("khscns"), HPC neighbors ("khscnh"),
+//! closed-loop think times ("khscnt"), retry backoff jitter ("khsrty"),
+//! and breaker reopen jitter ("khsbrk") each ride their own stream root
+//! split off the run seed, and per-leg draws are keyed by [`leg_seed`] —
+//! a pure function of (root, id, leg).
 //! Arming reliability, closed-loop clients, or crash faults therefore
 //! never perturbs arrival, noise, or fabric fault draws, which the
 //! bench gates assert byte-for-byte.
@@ -72,7 +72,7 @@ use kh_virtio::LinkProfile;
 use kh_workloads::adaptive::{CircuitBreaker, RetryBudget};
 use kh_workloads::svcload::{
     corrupt_frame_payload, decode_frame, nack_frame_into, request_frame_into, response_frame_into,
-    Arrivals, FrameError, FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
+    FrameError, FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
 };
 
 /// High bits of the frame id carry the leg's tree index (0 = the
@@ -101,105 +101,6 @@ fn scale_phase(base: &Phase, m: f64) -> Phase {
         footprint: base.footprint,
         dram_bytes: s(base.dram_bytes),
         pattern: base.pattern,
-    }
-}
-
-/// Which arrival generator and stream roots a run draws from. A
-/// scenario-less config runs under `Svcload`, every scenario under
-/// `Scenario`; [`crate::cluster::run`] picks once, from
-/// `cfg.scenario.is_none()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StreamPlan {
-    /// svcload's roots, for the depth-0 lowering: [`Arrivals`] on
-    /// "kharrv", retry jitter on "khrtry" (per-request, via
-    /// `retry_seed`), breaker jitter on "khbrkr" split per node index.
-    /// The report carries no [`ScenarioStats`].
-    Svcload,
-    /// The scenario roots: [`ArrivalProcess`] on "khscna", retry jitter
-    /// on "khsrty", breaker jitter on "khsbrk" split per (tier, server).
-    Scenario,
-}
-
-impl StreamPlan {
-    /// One open-loop generator per client.
-    fn arrivals(self, cfg: &ClusterConfig, scn: &Scenario, clients: usize) -> Vec<ArrivalGen> {
-        match self {
-            StreamPlan::Svcload => {
-                let mut seeds = SimRng::new(cfg.seed ^ 0x6B68_6172_7276); // "kharrv"
-                (0..clients)
-                    .map(|c| {
-                        let seed = seeds.split(c as u64).next_u64();
-                        ArrivalGen::Svcload(Arrivals::new(&cfg.svcload, seed))
-                    })
-                    .collect()
-            }
-            StreamPlan::Scenario => {
-                let mut seeds = SimRng::new(cfg.seed ^ 0x6B68_7363_6E61); // "khscna"
-                (0..clients)
-                    .map(|c| {
-                        let seed = seeds.split(c as u64).next_u64();
-                        ArrivalGen::Scenario(ArrivalProcess::new(
-                            scn.arrival,
-                            cfg.svcload.duration,
-                            seed,
-                        ))
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Root of the per-leg backoff seeds, keyed by [`leg_seed`].
-    fn retry_root(self, seed: u64) -> u64 {
-        match self {
-            // leg_seed(r, id, 0) is retry_seed(r, id) plus the leg-0
-            // offset leg_seed(0, 0, 0); lowering the root by that offset
-            // gives the client leg svcload's per-request stream.
-            StreamPlan::Svcload => SimRng::new(seed ^ 0x6B68_7274_7279) // "khrtry"
-                .next_u64()
-                .wrapping_sub(leg_seed(0, 0, 0)),
-            StreamPlan::Scenario => SimRng::new(seed ^ 0x6B68_7372_7479).next_u64(), // "khsrty"
-        }
-    }
-
-    /// Breaker reopen-jitter streams, one per (tier, server) slot in
-    /// `dest_state` order.
-    fn breaker_rngs(self, seed: u64, clients: usize, servers: usize, tiers: usize) -> Vec<SimRng> {
-        match self {
-            StreamPlan::Svcload => {
-                // Split over every node index in order; each server
-                // keeps the split labelled with its own node index.
-                let mut seeds = SimRng::new(seed ^ 0x6B68_6272_6B72); // "khbrkr"
-                let all: Vec<SimRng> = (0..clients + servers)
-                    .map(|i| seeds.split(i as u64))
-                    .collect();
-                all.into_iter().skip(clients).collect()
-            }
-            StreamPlan::Scenario => {
-                let mut seeds = SimRng::new(seed ^ 0x6B68_7362_726B); // "khsbrk"
-                (0..tiers * servers)
-                    .map(|i| seeds.split(i as u64))
-                    .collect()
-            }
-        }
-    }
-}
-
-/// A client's open-loop arrival generator. The two differ in gap
-/// rounding — svcload's [`Arrivals`] takes `1 + ⌊x⌋`,
-/// [`ArrivalProcess`] takes `max(⌊x⌋, 1)` — so folding one into the
-/// other would move every timestamp on one side.
-enum ArrivalGen {
-    Svcload(Arrivals),
-    Scenario(ArrivalProcess),
-}
-
-impl ArrivalGen {
-    fn next_arrivals(&mut self, k: usize, out: &mut Vec<Nanos>) -> usize {
-        match self {
-            ArrivalGen::Svcload(a) => a.next_arrivals(k, out),
-            ArrivalGen::Scenario(a) => a.next_arrivals(k, out),
-        }
     }
 }
 
@@ -429,9 +330,9 @@ enum Ev {
     RestartSvc { node: u16 },
 }
 
-/// Run `scn` over a freshly booted cluster, drawing from `plan`'s
-/// streams. Called only by [`crate::cluster::run`].
-pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario, plan: StreamPlan) -> ClusterReport {
+/// Run `scn` over a freshly booted cluster. Called only by
+/// [`crate::cluster::run`].
+pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     let clients = cfg.clients();
     let servers = cfg.servers();
     let total = clients + servers;
@@ -442,10 +343,6 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario, plan: StreamPlan) -> 
     let tree = LegTree::build(scn, servers);
     let fanout = tree.degrees.first().copied().unwrap_or(0);
     let depth = tree.depth();
-    debug_assert!(
-        plan == StreamPlan::Scenario || depth == 0,
-        "the svcload plan only lowers to depth 0"
-    );
 
     // Node boot: one stream per node index off the "khclus" root. A
     // scenario changes traffic, not machines.
@@ -473,13 +370,20 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario, plan: StreamPlan) -> 
 
     // Dedicated streams, all split off the run seed: service
     // multipliers ("khscns"), HPC neighbors ("khscnh"), closed-loop
-    // think time ("khscnt"), and the plan's arrival, retry and breaker
-    // roots. None of these roots are shared with noise or fabric fault
-    // streams — nor with each other — so arming any one layer perturbs
-    // nothing else.
-    let mut arrivals = plan.arrivals(cfg, scn, clients);
+    // think time ("khscnt"), open-loop arrivals ("khscna", one split per
+    // client), retry backoff jitter ("khsrty") and breaker reopen jitter
+    // ("khsbrk"). None of these roots are shared with noise or fabric
+    // fault streams — nor with each other — so arming any one layer
+    // perturbs nothing else.
+    let mut arrival_seeds = SimRng::new(cfg.seed ^ 0x6B68_7363_6E61); // "khscna"
+    let mut arrivals: Vec<ArrivalProcess> = (0..clients)
+        .map(|c| {
+            let seed = arrival_seeds.split(c as u64).next_u64();
+            ArrivalProcess::new(scn.arrival, cfg.svcload.duration, seed)
+        })
+        .collect();
     let svc_root = SimRng::new(cfg.seed ^ 0x6B68_7363_6E73).next_u64();
-    let retry_root = plan.retry_root(cfg.seed);
+    let retry_root = SimRng::new(cfg.seed ^ 0x6B68_7372_7479).next_u64(); // "khsrty"
     let mut hpc_seeds = SimRng::new(cfg.seed ^ 0x6B68_7363_6E68);
     let mut hpc_nodes: Vec<u16> = Vec::new();
     if let Some(colo) = &scn.colocate {
@@ -535,16 +439,18 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario, plan: StreamPlan) -> 
     };
     let dix = |tier: usize, dst: u16| tier * servers + (dst as usize - clients);
     let mut dest_state: Vec<DestState> = if any_adaptive {
-        plan.breaker_rngs(cfg.seed, clients, servers, depth + 1)
-            .into_iter()
-            .map(|rng| DestState {
+        // One reopen-jitter stream per (tier, server) slot, in `dix`
+        // order.
+        let mut breaker_seeds = SimRng::new(cfg.seed ^ 0x6B68_7362_726B); // "khsbrk"
+        (0..(depth + 1) * servers)
+            .map(|i| DestState {
                 tracker: WindowedQuantile::new(apol.window),
                 budget: RetryBudget::new(apol.budget_percent, apol.budget_burst),
                 breaker: CircuitBreaker::new(
                     apol.breaker_threshold,
                     apol.breaker_open_base,
                     apol.breaker_jitter,
-                    rng,
+                    breaker_seeds.split(i as u64),
                 ),
             })
             .collect()
@@ -710,7 +616,7 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario, plan: StreamPlan) -> 
 
     // First-send of one leg: arm its deadline/backoff/hedge timers per
     // its tier's policy, earn retry budget, and transmit. Backoff
-    // schedules ride the plan's retry root keyed by (id, leg); adaptive
+    // schedules ride the "khsrty" root keyed by (id, leg); adaptive
     // hedge delays follow the (tier, destination) live quantile, and
     // only once the tracker has seen enough completions to know the
     // distribution — the cold-start guard.
@@ -1604,7 +1510,7 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario, plan: StreamPlan) -> 
         fault_stats: fabric.faults.stats,
         reliability: rel,
         recoveries,
-        scenario: (plan == StreamPlan::Scenario).then_some(stats),
+        scenario: cfg.scenario.is_some().then_some(stats),
         attestation,
         elapsed,
     }
@@ -2063,17 +1969,5 @@ mod tests {
         let deep = LegTree::build(&crate::figures::scenario_for_depth(3, 500), 8);
         assert_eq!(deep.coordinators, deep.start[deep.depth()]);
         assert_eq!(deep.tier_of(deep.coordinators), deep.depth());
-    }
-
-    #[test]
-    fn svcload_plan_keeps_the_per_request_retry_stream() {
-        use kh_workloads::svcload::retry_seed;
-        for seed in [1u64, 9, 0xFFFF_FFFF_FFFF] {
-            let root = SimRng::new(seed ^ 0x6B68_7274_7279).next_u64(); // "khrtry"
-            let lowered = StreamPlan::Svcload.retry_root(seed);
-            for id in [0u64, 1, 77, 1 << 40] {
-                assert_eq!(leg_seed(lowered, id, 0), retry_seed(root, id));
-            }
-        }
     }
 }

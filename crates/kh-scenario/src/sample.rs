@@ -14,9 +14,10 @@ use kh_sim::{Nanos, SimRng};
 /// a whole run, which measures the sampler, not the stack.
 pub const MAX_SERVICE_MULT: f64 = 50.0;
 
-/// Derive the per-leg service-sampling seed for request `id`, leg `leg`
-/// (leg 0 = the frontend tier-0 phase, 1..=N = backend legs). Same
-/// golden-ratio mixing discipline as `svcload::retry_seed`: consecutive
+/// Derive the per-leg seed for request `id`, leg `leg` (leg 0 = the
+/// client's request and its frontend tier-0 phase, 1..=N = backend
+/// legs) from a stream root — the cluster keys both service sampling
+/// and retry backoff jitter with it. Golden-ratio mixing: consecutive
 /// ids and legs land in unrelated streams, and the mapping is a pure
 /// function so any worker can reproduce any leg's draw.
 pub fn leg_seed(root: u64, id: u64, leg: u32) -> u64 {
@@ -49,8 +50,9 @@ impl ServiceDist {
 
 /// A strictly-increasing arrival sequence drawn from an
 /// [`ArrivalShape`], bounded by a horizon. Each client source owns one,
-/// seeded from a split of the scenario arrival stream, exactly like
-/// `svcload::Arrivals` — which this generalises.
+/// seeded from a split of the scenario arrival stream. It is the
+/// cluster's only open-loop generator: svcload runs as the depth-0
+/// scenario `arrive=exp:<mean_interarrival>`.
 #[derive(Debug)]
 pub struct ArrivalProcess {
     shape: ArrivalShape,
@@ -179,6 +181,9 @@ impl ArrivalProcess {
         loop {
             t = bump(t, self.rng.next_exp(envelope_gap));
             if t >= self.horizon {
+                // Park the cursor past the horizon so the process stays
+                // exhausted instead of thinning a fresh tail next call.
+                self.cursor = t;
                 return None;
             }
             let phase = 2.0 * core::f64::consts::PI * (t.as_nanos() as f64) / period;
@@ -254,17 +259,25 @@ mod tests {
     }
 
     #[test]
+    fn batched_arrivals_match_one_at_a_time() {
+        let horizon = Nanos::from_millis(20);
+        for shape in all_shapes() {
+            let serial = drain(shape, horizon, 13);
+            let mut batched = ArrivalProcess::new(shape, horizon, 13);
+            let mut out = Vec::new();
+            while batched.next_arrivals(32, &mut out) == 32 {}
+            assert_eq!(out, serial, "{shape:?}");
+        }
+    }
+
+    #[test]
     fn exhausted_process_stays_exhausted() {
-        let mut p = ArrivalProcess::new(
-            ArrivalShape::Exp {
-                mean: Nanos::from_micros(50),
-            },
-            Nanos::from_micros(200),
-            3,
-        );
-        while p.next_arrival().is_some() {}
-        for _ in 0..8 {
-            assert!(p.next_arrival().is_none());
+        for shape in all_shapes() {
+            let mut p = ArrivalProcess::new(shape, Nanos::from_micros(200), 3);
+            while p.next_arrival().is_some() {}
+            for _ in 0..64 {
+                assert!(p.next_arrival().is_none(), "{shape:?}");
+            }
         }
     }
 

@@ -2,11 +2,13 @@
 //!
 //! Open-loop request generators on client nodes drive server nodes
 //! running the secure-service stack. Clients draw exponential
-//! inter-arrival gaps from a dedicated deterministic RNG stream
-//! ([`Arrivals`]), so the offered load is *identical* across server
-//! stacks: the Kitten-primary vs Linux-primary comparison is purely a
-//! statement about the servers' noise profiles, which is the paper's
-//! argument restated as p50/p99/p999 latency tails at cluster scale.
+//! inter-arrival gaps from a dedicated deterministic RNG stream (the
+//! cluster runs svcload as the depth-0 scenario
+//! `arrive=exp:<mean_interarrival>`), so the offered load is
+//! *identical* across server stacks: the Kitten-primary vs
+//! Linux-primary comparison is purely a statement about the servers'
+//! noise profiles, which is the paper's argument restated as
+//! p50/p99/p999 latency tails at cluster scale.
 //!
 //! Requests and responses are real byte frames carried over the
 //! virtio-net peering path; [`request_frame`]/[`response_frame`] embed
@@ -93,68 +95,6 @@ impl SvcLoadConfig {
             dram_bytes: 0,
             pattern: AccessPattern::Blocked { reuse: 0.8 },
         }
-    }
-}
-
-/// One client's open-loop arrival stream: exponential gaps from a
-/// dedicated seed, fully expanded on demand. The stream never consults
-/// any other randomness, so two cluster runs with the same seed offer
-/// byte-identical load whatever the servers do with it.
-#[derive(Debug, Clone)]
-pub struct Arrivals {
-    rng: SimRng,
-    mean: f64,
-    horizon: Nanos,
-    next: Nanos,
-    /// Requests generated so far.
-    pub generated: u64,
-}
-
-impl Arrivals {
-    /// Stream for one client. `seed` must be unique per client (the
-    /// cluster splits one root seed per node).
-    pub fn new(cfg: &SvcLoadConfig, seed: u64) -> Self {
-        let mut rng = SimRng::new(seed);
-        let mean = cfg.mean_interarrival.as_nanos().max(1) as f64;
-        let first = Nanos(1 + rng.next_exp(mean) as u64);
-        Arrivals {
-            rng,
-            mean,
-            horizon: cfg.duration,
-            next: first,
-            generated: 0,
-        }
-    }
-
-    /// The next arrival time, or `None` once the window closed.
-    pub fn next_arrival(&mut self) -> Option<Nanos> {
-        if self.next >= self.horizon {
-            return None;
-        }
-        let t = self.next;
-        self.next += Nanos(1 + self.rng.next_exp(self.mean) as u64);
-        self.generated += 1;
-        Some(t)
-    }
-
-    /// Append up to `k` arrival times to `out` in one pass, returning
-    /// how many were produced (fewer than `k` only when the window
-    /// closes). Semantically identical to calling [`Self::next_arrival`]
-    /// `k` times; the batch form lets the event loop file a client's
-    /// next chunk of arrivals into the queue in one go instead of
-    /// re-entering the generator once per event.
-    pub fn next_arrivals(&mut self, k: usize, out: &mut Vec<Nanos>) -> usize {
-        let mut n = 0;
-        while n < k {
-            match self.next_arrival() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
     }
 }
 
@@ -409,10 +349,11 @@ pub fn corrupt_frame_payload(frame: &mut [u8], salt: u64) {
 
 /// Client-side reliability policy: per-request deadline, bounded
 /// retransmits with exponential backoff + seeded jitter, and optional
-/// request hedging. All randomness comes from a per-request seed (see
-/// [`retry_seed`]) on its own `SimRng` stream, so arming the policy
-/// never perturbs arrivals, noise, or fabric fault draws — the
-/// cluster's determinism gates hold with retries on.
+/// request hedging. All randomness comes from a per-leg seed (the
+/// cluster derives it with `kh_scenario::leg_seed` from a dedicated
+/// retry root) on its own `SimRng` stream, so arming the policy never
+/// perturbs arrivals, noise, or fabric fault draws — the cluster's
+/// determinism gates hold with retries on.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Total transmissions allowed per request, including the first.
@@ -486,13 +427,6 @@ impl RetryPolicy {
     }
 }
 
-/// Derive the per-request backoff seed from the cluster's retry root
-/// stream seed and the request id. Golden-ratio multiply so adjacent
-/// ids land in unrelated `SimRng` states.
-pub fn retry_seed(retry_root: u64, id: u64) -> u64 {
-    retry_root.wrapping_add(id.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
 /// How a request's story ended. Every generated request resolves to
 /// exactly one of these, recorded next to its latency — there is no
 /// silent-loss path once the reliability layer is armed.
@@ -542,29 +476,6 @@ impl RequestOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arrivals_are_deterministic_and_open_loop() {
-        let cfg = SvcLoadConfig::default();
-        let collect = |seed| {
-            let mut a = Arrivals::new(&cfg, seed);
-            let mut ts = Vec::new();
-            while let Some(t) = a.next_arrival() {
-                ts.push(t);
-            }
-            ts
-        };
-        let a = collect(7);
-        assert_eq!(a, collect(7));
-        assert_ne!(a, collect(8));
-        // Strictly increasing, all inside the window.
-        for w in a.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        assert!(a.iter().all(|t| *t < cfg.duration));
-        // ~400 arrivals expected at 500 us mean over 200 ms.
-        assert!((200..800).contains(&a.len()), "{} arrivals", a.len());
-    }
 
     #[test]
     fn frames_round_trip_their_header() {
@@ -639,21 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_arrivals_match_one_at_a_time() {
-        let cfg = SvcLoadConfig::default();
-        let mut one = Arrivals::new(&cfg, 13);
-        let mut serial = Vec::new();
-        while let Some(t) = one.next_arrival() {
-            serial.push(t);
-        }
-        let mut batched = Arrivals::new(&cfg, 13);
-        let mut out = Vec::new();
-        while batched.next_arrivals(32, &mut out) == 32 {}
-        assert_eq!(out, serial);
-        assert_eq!(batched.generated, one.generated);
-    }
-
-    #[test]
     fn padding_is_deterministic_per_request() {
         let cfg = SvcLoadConfig::default();
         let a = request_frame(&cfg, 1, 0, Nanos(5), 0);
@@ -670,9 +566,9 @@ mod tests {
     #[test]
     fn backoff_schedule_is_seeded_bounded_and_monotone() {
         let p = RetryPolicy::default();
-        let s = p.backoff_schedule(retry_seed(11, 7));
-        assert_eq!(s, p.backoff_schedule(retry_seed(11, 7)));
-        assert_ne!(s, p.backoff_schedule(retry_seed(11, 8)));
+        let s = p.backoff_schedule(7);
+        assert_eq!(s, p.backoff_schedule(7));
+        assert_ne!(s, p.backoff_schedule(8));
         assert!(s.len() <= (p.max_attempts - 1) as usize);
         assert!(s.windows(2).all(|w| w[0] <= w[1]), "monotone");
         let total: u64 = s.iter().map(|d| d.as_nanos()).sum();

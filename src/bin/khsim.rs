@@ -60,7 +60,8 @@ USAGE:
                 [--attest] [--scenario SPEC|FILE.khs] [--queue-depth N]
                 [--out FILE] [--jobs N]
   khsim figures [--trials N] [--seed N] [--jobs N]
-  khsim trace [--workload W] [--stack S] [--routing primary|selective] [--out FILE]
+  khsim trace [--workload W] [--stack S] [--seed N] [--platform P]
+              [--routing primary|selective] [--out FILE]
   khsim list
 
 OPTIONS:
@@ -77,8 +78,8 @@ OPTIONS:
                 is a fabric spec: drop:P,corrupt:P,reorder:P,
                 jitter:P:EXTRA,partition@T:DUR:NODE,crashsvc@T:NODE,
                 tamper@NODE (forged boot measurement; needs --attest)
-  --nodes       cluster node count: first half clients, second half
-                servers (default 4)
+  --nodes       cluster node count (>= 2): first half clients, second
+                half servers (default 4)
   --quick       cluster: 50 ms load window instead of 200 ms
   --ablation    cluster: run every server-stack arm (kitten, linux,
                 theseus) and print the comparison
@@ -118,32 +119,53 @@ OPTIONS:
     ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
+/// Each subcommand and the flags its usage line lists — the only ones
+/// it accepts.
+const SUBCOMMANDS: &[(&str, &str)] = &[
+    (
+        "run",
+        "workload stack seed platform trials faults fault-seed jobs",
+    ),
+    ("parallel", "threads stack seed no-barrier"),
+    (
+        "cluster",
+        "nodes workload stack seed faults fault-seed quick ablation retries adaptive \
+         reliability metastability attest scenario queue-depth out jobs",
+    ),
+    ("figures", "trials seed jobs"),
+    ("trace", "workload stack seed platform routing out"),
+    ("list", ""),
+];
+
+/// Flags that take no value.
+const SWITCHES: &str =
+    "no-barrier quick ablation retries adaptive reliability metastability attest";
+
+/// Parse `args` for subcommand `cmd`, refusing any flag its usage line
+/// does not list.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let takes = SUBCOMMANDS
+        .iter()
+        .find(|(name, _)| *name == cmd)
+        .map(|(_, takes)| *takes)
+        .ok_or_else(|| format!("unknown subcommand {cmd:?}"))?;
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            if matches!(
-                key,
-                "no-barrier"
-                    | "quick"
-                    | "ablation"
-                    | "retries"
-                    | "adaptive"
-                    | "reliability"
-                    | "metastability"
-                    | "attest"
-            ) {
-                map.insert(key.to_string(), "true".to_string());
-                continue;
-            }
-            let value = it.next()?;
-            map.insert(key.to_string(), value.clone());
+        let key = match a.strip_prefix("--") {
+            Some(key) if takes.split_whitespace().any(|f| f == key) => key,
+            _ => return Err(format!("khsim {cmd} does not take {a:?}")),
+        };
+        let value = if SWITCHES.split_whitespace().any(|f| f == key) {
+            "true".to_string()
         } else {
-            return None;
-        }
+            it.next()
+                .ok_or_else(|| format!("--{key} needs a value"))?
+                .clone()
+        };
+        map.insert(key.to_string(), value);
     }
-    Some(map)
+    Ok(map)
 }
 
 fn stack_of(name: &str) -> Option<StackKind> {
@@ -338,6 +360,10 @@ fn cmd_cluster(flags: &HashMap<String, String>) -> Option<()> {
         .get("nodes")
         .map(|s| s.parse().ok())
         .unwrap_or(Some(4))?;
+    if nodes < 2 {
+        eprintln!("error: --nodes {nodes} is below the 2-node minimum");
+        return None;
+    }
     let stack = stack_of(flags.get("stack").map(|s| s.as_str()).unwrap_or("kitten"))?;
     if !stack.supports_cluster() {
         eprintln!("error: cluster nodes need a cluster-capable stack (kitten | linux | theseus)");
@@ -560,7 +586,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Option<()> {
 
 fn cmd_list() {
     println!("workloads : {}", WORKLOADS.join(", "));
-    println!("stacks    : native, kitten, linux");
+    println!("stacks    : native, kitten, linux, theseus");
     println!("platforms : pine (Pine A64-LTS), rpi3, qemu, tx2 (ThunderX2)");
 }
 
@@ -569,8 +595,12 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    let Some(flags) = parse_flags(rest) else {
-        return usage();
+    let flags = match parse_flags(cmd, rest) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
     };
     if let Some(jobs) = flags.get("jobs") {
         match jobs.parse::<usize>() {

@@ -645,17 +645,17 @@ mod golden {
 
     /// One digest per policy over 3 stacks x seeds {1, 9, 33}.
     const SVCLOAD_GOLDEN: [(&str, u64); 11] = [
-        ("plain", 0x8f9d_33f2_4c69_4ad0),
-        ("drop-jitter-reorder", 0xb35b_1913_08a5_2713),
-        ("drop-retry", 0xe15a_e818_b878_e66b),
-        ("hedge", 0x8ef9_91ec_2710_224a),
-        ("fixed-overload", 0x9264_c53e_3738_b1da),
-        ("adaptive", 0x1a08_ffe5_33e5_3092),
-        ("adaptive-partition", 0x8eb9_b14f_984c_f004),
-        ("corrupt-retry", 0x459b_a732_4441_0975),
-        ("crashsvc-retry", 0x9be8_e1dc_f50d_2eaf),
-        ("attest-tamper", 0xbd37_1675_7cd6_a495),
-        ("adaptive-overload", 0xf2ab_1d87_9b21_d556),
+        ("plain", 0xd6a2_040a_f4c0_ad2e),
+        ("drop-jitter-reorder", 0xf867_154e_059b_2831),
+        ("drop-retry", 0x4b7d_98dc_0721_ce22),
+        ("hedge", 0x6838_08e1_3b87_a800),
+        ("fixed-overload", 0x619e_2a47_4ffa_4fb8),
+        ("adaptive", 0x2db9_3e1a_4fcb_656a),
+        ("adaptive-partition", 0x596e_61aa_c013_7bd6),
+        ("corrupt-retry", 0x1b28_75a0_69f4_4ebd),
+        ("crashsvc-retry", 0xb44a_28ea_41d6_6ebe),
+        ("attest-tamper", 0x157c_6f63_6f49_ce2a),
+        ("adaptive-overload", 0x85c0_cad6_4fac_9772),
     ];
 
     #[test]
@@ -681,6 +681,33 @@ mod golden {
             "digests moved:\n{}",
             failures.join("\n")
         );
+    }
+
+    /// svcload is the depth-0 scenario `arrive=exp:<mean_interarrival>`:
+    /// every policy, stack and seed digests the same with that scenario
+    /// spelled out, and only the spelled-out run reports scenario stats.
+    #[test]
+    fn svcload_runs_as_the_depth0_exp_scenario() {
+        for (name, _) in SVCLOAD_GOLDEN {
+            for stack in StackKind::CLUSTER_ARMS {
+                for seed in [1, 9, 33] {
+                    let mut cfg = ClusterConfig::new(4, stack, seed);
+                    cfg.svcload = SvcLoadConfig::quick();
+                    svcload_policy(name, &mut cfg);
+                    let plain = cluster::run(&cfg);
+                    let mean = cfg.svcload.mean_interarrival.as_micros();
+                    let spec = format!("arrive=exp:{mean}us");
+                    cfg.scenario = Some(Scenario::parse(&spec).unwrap());
+                    let spelled = cluster::run(&cfg);
+                    assert_eq!(
+                        digest(&plain),
+                        digest(&spelled),
+                        "{name} on {stack:?}, seed {seed}"
+                    );
+                    assert!(plain.scenario.is_none() && spelled.scenario.is_some());
+                }
+            }
+        }
     }
 
     /// Tiered scenarios at 8 nodes: depth 0, 1 and 3, open and closed

@@ -317,15 +317,17 @@ proptest! {
         prop_assert!(decode_frame(&frame).is_err(), "byte {pos} flip slipped through");
     }
 
-    /// The per-request seed derivation spreads adjacent request ids into
-    /// unrelated streams: consecutive ids get different first delays
-    /// somewhere in any modest window (no lockstep retry storms).
+    /// The per-leg seed derivation spreads adjacent request ids into
+    /// unrelated streams: the client legs of consecutive ids get
+    /// different first delays somewhere in any modest window (no
+    /// lockstep retry storms).
     #[test]
-    fn retry_seeds_decorrelate_adjacent_requests(root in any::<u64>()) {
-        use kitten_hafnium::workloads::svcload::{retry_seed, RetryPolicy};
+    fn leg_seeds_decorrelate_adjacent_requests(root in any::<u64>()) {
+        use kitten_hafnium::scenario::leg_seed;
+        use kitten_hafnium::workloads::svcload::RetryPolicy;
         let policy = RetryPolicy::default();
         let firsts: Vec<u64> = (0..16u64)
-            .map(|id| policy.backoff_schedule(retry_seed(root, id))[0].as_nanos())
+            .map(|id| policy.backoff_schedule(leg_seed(root, id, 0))[0].as_nanos())
             .collect();
         let distinct: std::collections::HashSet<_> = firsts.iter().collect();
         prop_assert!(distinct.len() > 1, "adjacent requests retry in lockstep");
