@@ -36,7 +36,7 @@ pub struct PortStats {
     pub loss_drops: u64,
     /// Dropped because an endpoint was inside a partition window.
     pub partition_drops: u64,
-    /// Delivered, but with a payload byte mangled by the corrupt gate.
+    /// Delivered, but marked corrupt by the corrupt gate.
     pub corrupted: u64,
 }
 
@@ -68,61 +68,14 @@ impl FabricStats {
     }
 }
 
-/// A freelist of reusable frame payload buffers.
-///
-/// Every frame in flight used to be a fresh `Vec<u8>` allocated at the
-/// sender and dropped at the receiver — millions of alloc/free pairs
-/// per cluster run, all on the host hot path. The slab recycles them:
-/// senders `take` a buffer (encoding fully overwrites it, so recycled
-/// bytes can never leak into a frame), receivers `put` consumed frames
-/// back. The pool is bounded by the peak number of frames concurrently
-/// in flight. Purely a host-allocation optimization: no simulated
-/// timing or byte stream depends on it.
-#[derive(Debug, Default)]
-pub struct FrameSlab {
-    free: Vec<Vec<u8>>,
-    /// Buffers handed out over the slab's lifetime (fresh + reused).
-    pub taken: u64,
-    /// Takes served from the freelist rather than a fresh allocation.
-    pub reused: u64,
-}
-
-impl FrameSlab {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get a buffer: recycled when one is free, freshly allocated
-    /// otherwise. Contents are unspecified; encoders must overwrite.
-    pub fn take(&mut self) -> Vec<u8> {
-        self.taken += 1;
-        match self.free.pop() {
-            Some(buf) => {
-                self.reused += 1;
-                buf
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Return a consumed frame's buffer to the pool.
-    pub fn put(&mut self, buf: Vec<u8>) {
-        self.free.push(buf);
-    }
-
-    /// Buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-}
-
-/// One delivered frame: when it lands at the destination NIC, and —
-/// when the corrupt gate fired — the seeded salt the caller feeds to
-/// `kh_workloads::svcload::corrupt_frame_payload` to mangle it.
+/// One delivered frame: when it lands at the destination NIC, and
+/// whether the corrupt gate fired on it. A corrupt frame still arrives
+/// and pays its wire time; the receiver rejects it as failing its
+/// checksum, with the header intact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
     pub at: Nanos,
-    pub corrupt_salt: Option<u64>,
+    pub corrupt: bool,
 }
 
 #[derive(Debug, Default)]
@@ -183,7 +136,7 @@ impl Fabric {
             pp.loss_drops += 1;
             return None;
         }
-        let corrupt_salt = self.faults.corrupt_frame();
+        let corrupt = self.faults.corrupt_frame();
         let wire = self.link.wire_time(bytes);
         let hold = self.faults.reorder_hold(wire);
         let jitter = self.faults.jitter();
@@ -204,13 +157,13 @@ impl Fabric {
         self.stats.bytes_forwarded += bytes;
         let pp = &mut self.stats.per_port[dst as usize];
         pp.forwarded += 1;
-        if corrupt_salt.is_some() {
+        if corrupt {
             self.stats.corrupted += 1;
             pp.corrupted += 1;
         }
         Some(Delivery {
             at: depart + self.link.base_latency,
-            corrupt_salt,
+            corrupt,
         })
     }
 }
@@ -225,34 +178,12 @@ mod tests {
     }
 
     #[test]
-    fn frame_slab_recycles_buffers() {
-        let mut slab = FrameSlab::new();
-        let a = slab.take();
-        assert_eq!((slab.taken, slab.reused), (1, 0));
-        let mut b = slab.take();
-        b.extend_from_slice(&[1, 2, 3]);
-        slab.put(a);
-        slab.put(b);
-        assert_eq!(slab.pooled(), 2);
-        let c = slab.take();
-        assert_eq!((slab.taken, slab.reused), (3, 1));
-        assert_eq!(slab.pooled(), 1);
-        drop(c);
-        // Steady state: take/put cycles never allocate.
-        for _ in 0..100 {
-            let x = slab.take();
-            slab.put(x);
-        }
-        assert_eq!(slab.reused, 101);
-    }
-
-    #[test]
     fn transit_pays_wire_time_and_base_latency() {
         let mut f = fab();
         let d = f.transit(0, 1, 1500, Nanos::ZERO).unwrap();
         // 1500 B at 1 Gb/s = 12 us serialization + 20 us base latency.
         assert_eq!(d.at, Nanos(12_000) + LinkProfile::gigabit().base_latency);
-        assert_eq!(d.corrupt_salt, None);
+        assert!(!d.corrupt);
         assert_eq!(f.stats.frames_forwarded, 1);
         assert_eq!(f.stats.per_port[1].forwarded, 1);
         assert_eq!(f.stats.per_port[0].forwarded, 0);
@@ -314,7 +245,7 @@ mod tests {
         for i in 0..64 {
             match f.transit(0, 1, 800, Nanos::from_micros(40 * i)) {
                 None => lost += 1,
-                Some(d) if d.corrupt_salt.is_some() => mangled += 1,
+                Some(d) if d.corrupt => mangled += 1,
                 Some(_) => {}
             }
         }

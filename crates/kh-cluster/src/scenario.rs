@@ -60,7 +60,7 @@ use crate::cluster::{
     ClusterConfig, ClusterReport, NodeReport, RecoveryRecord, ReliabilityStats, RequestRecord,
     ARRIVAL_BATCH,
 };
-use crate::fabric::{Fabric, FrameSlab};
+use crate::fabric::Fabric;
 use crate::node::{AdmissionPolicy, Node, Role};
 use kh_arch::cpu::Phase;
 use kh_core::config::StackKind;
@@ -70,10 +70,7 @@ use kh_scenario::{leg_seed, ArrivalProcess, JoinPolicy, RetryMode, Scenario, Ser
 use kh_sim::{EventQueue, FabricFaultPlan, Nanos, SimRng};
 use kh_virtio::LinkProfile;
 use kh_workloads::adaptive::{CircuitBreaker, RetryBudget};
-use kh_workloads::svcload::{
-    corrupt_frame_payload, decode_frame, nack_frame_into, request_frame_into, response_frame_into,
-    FrameError, FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
-};
+use kh_workloads::svcload::{FrameHeader, FrameKind, RequestOutcome, RetryPolicy};
 
 /// High bits of the frame id carry the leg's tree index (0 = the
 /// client's own request, n >= 1 = the n-th leg of the breadth-first
@@ -88,6 +85,32 @@ fn leg_frame_id(id: u64, leg: u32) -> u64 {
 
 fn split_frame_id(raw: u64) -> (u64, u32) {
     (raw & ((1u64 << LEG_SHIFT) - 1), (raw >> LEG_SHIFT) as u32)
+}
+
+/// The header of a frame on leg `leg` of request `id`.
+fn leg_header(
+    id: u64,
+    leg: usize,
+    client: u16,
+    sent: Nanos,
+    kind: FrameKind,
+    attempt: u8,
+) -> FrameHeader {
+    FrameHeader::new(leg_frame_id(id, leg as u32), client, sent, kind, attempt)
+}
+
+/// A frame in flight, modelled at transaction level: its header, its
+/// wire length (`SvcLoadConfig::wire_bytes`), and whether the fabric's
+/// corrupt gate fired on it. Simulated time reads nothing else. On the
+/// byte encoding in `kh_workloads::svcload`, a corrupt hit changes one
+/// byte past the header (or a checksum byte), and FNV-1a catches any
+/// single-byte change, so `corrupt` is exactly the codec's verdict and
+/// the header survives it (`tests/properties.rs` checks this).
+#[derive(Clone, Copy)]
+struct Frame {
+    hdr: FrameHeader,
+    len: usize,
+    corrupt: bool,
 }
 
 /// Scale a service phase by a sampled mean-1 multiplier: the request
@@ -322,7 +345,7 @@ struct DestState {
 enum Ev {
     Arrival { client: u16 },
     SessionNext { client: u16, session: u16 },
-    Deliver { dst: u16, frame: Vec<u8> },
+    Deliver { dst: u16, frame: Frame },
     Retry { id: u64, leg: u32 },
     Hedge { id: u64, leg: u32 },
     Deadline { id: u64, leg: u32 },
@@ -493,7 +516,11 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
 
     let base_phase = cfg.svcload.service_phase();
     let mut q: EventQueue<Ev> = EventQueue::new();
-    let mut slab = FrameSlab::new();
+    // The NICs copy frames of zeros: their timing reads only the
+    // length, and one buffer the size of the largest frame serves all.
+    let lengths = [FrameKind::Request, FrameKind::Response, FrameKind::Nack]
+        .map(|k| cfg.svcload.wire_bytes(k));
+    let zeros = vec![0u8; lengths.into_iter().max().unwrap_or(0)];
     // Open loop: each client keeps `ARRIVAL_BATCH` future arrivals
     // filed and refills when the last one fires, amortising generator
     // re-entry across K events. Closed loop: one SessionNext per
@@ -571,20 +598,20 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     let mut sent = 0u64;
     let mut completed = 0u64;
 
-    // Route one frame through a node's NIC and the fabric, applying the
-    // corrupt gate's byte-flip on delivery. Buffers come from (and
-    // return to) the slab: a dropped frame is recycled, not freed.
+    // Route one frame through a node's NIC and the fabric; the corrupt
+    // gate's verdict rides along to the receiver.
     macro_rules! push_frame {
-        ($src:expr, $dst:expr, $frame:expr, $at:expr) => {{
-            let mut frame = $frame;
-            let enter = nodes[$src as usize].send($at, &frame, horizon);
-            if let Some(d) = fabric.transit($src, $dst, frame.len() as u64, enter) {
-                if let Some(salt) = d.corrupt_salt {
-                    corrupt_frame_payload(&mut frame, salt);
-                }
+        ($src:expr, $dst:expr, $hdr:expr, $at:expr) => {{
+            let hdr: FrameHeader = $hdr;
+            let len = cfg.svcload.wire_bytes(hdr.kind);
+            let enter = nodes[$src as usize].send($at, &zeros[..len], horizon);
+            if let Some(d) = fabric.transit($src, $dst, len as u64, enter) {
+                let frame = Frame {
+                    hdr,
+                    len,
+                    corrupt: d.corrupt,
+                };
                 q.schedule_at(d.at, Ev::Deliver { dst: $dst, frame });
-            } else {
-                slab.put(frame);
             }
         }};
     }
@@ -693,16 +720,8 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                 lst.attempts = 1;
                 lst.next_backoff = next_backoff;
             }
-            let mut frame = slab.take();
-            request_frame_into(
-                &cfg.svcload,
-                leg_frame_id(id, leg as u32),
-                src,
-                at,
-                0,
-                &mut frame,
-            );
-            push_frame!(src, dst, frame, at);
+            let hdr = leg_header(id, leg, src, at, FrameKind::Request, 0);
+            push_frame!(src, dst, hdr, at);
         }};
     }
 
@@ -726,25 +745,8 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                 (lst.dst, lst.src, lst.sent)
             };
             if !nodes[cnode as usize].is_crashed() {
-                let mut frame = slab.take();
-                match kind {
-                    FrameKind::Nack => nack_frame_into(
-                        leg_frame_id(id, leg as u32),
-                        to,
-                        first_sent,
-                        attempt,
-                        &mut frame,
-                    ),
-                    _ => response_frame_into(
-                        &cfg.svcload,
-                        leg_frame_id(id, leg as u32),
-                        to,
-                        first_sent,
-                        attempt,
-                        &mut frame,
-                    ),
-                }
-                push_frame!(cnode, to, frame, t);
+                let hdr = leg_header(id, leg, to, first_sent, kind, attempt);
+                push_frame!(cnode, to, hdr, t);
             }
         }};
     }
@@ -922,16 +924,8 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                 let attempt = l.attempts as u8;
                 legs[ix].attempts += 1;
                 rel.retransmits += 1;
-                let mut frame = slab.take();
-                request_frame_into(
-                    &cfg.svcload,
-                    leg_frame_id(id, leg as u32),
-                    l.src,
-                    l.sent,
-                    attempt,
-                    &mut frame,
-                );
-                push_frame!(l.src, l.dst, frame, now);
+                let hdr = leg_header(id, leg, l.src, l.sent, FrameKind::Request, attempt);
+                push_frame!(l.src, l.dst, hdr, now);
             }
             Ev::Hedge { id, leg } => {
                 let leg = leg as usize;
@@ -962,16 +956,8 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                 legs[ix].attempts += 1;
                 legs[ix].hedge_attempt = Some(attempt);
                 rel.hedges += 1;
-                let mut frame = slab.take();
-                request_frame_into(
-                    &cfg.svcload,
-                    leg_frame_id(id, leg as u32),
-                    l.src,
-                    l.sent,
-                    attempt,
-                    &mut frame,
-                );
-                push_frame!(l.src, l.dst, frame, now);
+                let hdr = leg_header(id, leg, l.src, l.sent, FrameKind::Request, attempt);
+                push_frame!(l.src, l.dst, hdr, now);
             }
             Ev::Deadline { id, leg } => {
                 let leg = leg as usize;
@@ -1037,331 +1023,219 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                     r.recovered_at = up;
                 }
             }
-            Ev::Deliver { dst, mut frame } => {
-                let decoded = decode_frame(&frame);
-                if nodes[dst as usize].role == Role::Server {
-                    match decoded {
-                        Ok(FrameHeader {
-                            id: raw,
-                            client: reply_to,
-                            sent: sent_at,
-                            kind: FrameKind::Request,
-                            attempt,
-                        }) => {
-                            let (id, leg) = split_frame_id(raw);
-                            let leg = leg as usize;
-                            let tier = tree.tier_of(leg);
-                            let node = &mut nodes[dst as usize];
-                            if node.is_crashed() {
-                                // The NIC died with the VM: nothing to
-                                // receive into. The issuer's retry path
-                                // (or deadline) owns recovery.
-                                node.stats.crash_drops += 1;
-                                rel.crash_drops += 1;
-                                slab.put(frame);
-                                continue;
-                            }
-                            // Request lands: RX copy, dedupe check,
-                            // admission check, queue for the service
-                            // core, compute, then answer (response or
-                            // NACK) or fan out. Replies are encoded into
-                            // the request's own delivered buffer — the
-                            // slab keeps one payload allocation per
-                            // in-flight frame, not one per encode.
-                            let ready = node.receive(now, &frame, horizon);
-                            let leaf = tier == tree.depth();
-                            if leaf {
-                                // A duplicate attempt (hedge/retransmit)
-                                // of a leg this server already admitted
-                                // replays the cached answer: at-most-once
-                                // execution against the issuer's
-                                // at-least-once transmission. It never
-                                // takes an admission slot or a second
-                                // service, and departs no earlier than
-                                // this RX and the original service.
-                                if let Some(done) = node.cached_response(raw) {
-                                    rel.dups_absorbed += 1;
-                                    response_frame_into(
-                                        &cfg.svcload,
-                                        raw,
-                                        reply_to,
-                                        sent_at,
-                                        attempt,
-                                        &mut frame,
-                                    );
-                                    push_frame!(dst, reply_to, frame, ready.max(done));
-                                    continue;
-                                }
-                            } else if coords[cx(id, leg)].started {
-                                // Coordinator dedupe: the fan-out ran
-                                // already. Replay the join answer when
-                                // it exists; absorb silently while the
-                                // join is still pending (the original
-                                // flow will answer).
-                                rel.dups_absorbed += 1;
-                                let c = &coords[cx(id, leg)];
-                                let t = ready.max(c.answer_at);
-                                match c.answer {
-                                    Some(FrameKind::Nack) => {
-                                        nack_frame_into(
-                                            raw, reply_to, sent_at, attempt, &mut frame,
-                                        );
-                                        push_frame!(dst, reply_to, frame, t);
-                                    }
-                                    Some(_) => {
-                                        response_frame_into(
-                                            &cfg.svcload,
-                                            raw,
-                                            reply_to,
-                                            sent_at,
-                                            attempt,
-                                            &mut frame,
-                                        );
-                                        push_frame!(dst, reply_to, frame, t);
-                                    }
-                                    None => slab.put(frame),
-                                }
-                                continue;
-                            }
-                            if !nodes[dst as usize].admit_with(ready, &admission) {
-                                rel.nacks_sent += 1;
-                                // The NACK rides the request's own buffer.
-                                nack_frame_into(raw, reply_to, sent_at, attempt, &mut frame);
-                                push_frame!(dst, reply_to, frame, ready);
-                                continue;
-                            }
-                            // Tier by leg index: 0 = frontend work, else
-                            // backend leg work; a stochastic tier draws
-                            // its multiplier from its own (id, leg)-keyed
-                            // stream, a `Det` tier serves the base phase.
-                            let dist = if leg == 0 { scn.service } else { scn.backend };
-                            let phase = match dist {
-                                ServiceDist::Det => base_phase,
-                                _ => {
-                                    let mut rng = SimRng::new(leg_seed(svc_root, id, leg as u32));
-                                    scale_phase(&base_phase, dist.sample(&mut rng))
-                                }
-                            };
-                            let done = nodes[dst as usize].serve(ready, &phase, horizon);
-                            if leaf {
-                                nodes[dst as usize].note_served(raw, done);
-                                response_frame_into(
-                                    &cfg.svcload,
-                                    raw,
-                                    reply_to,
-                                    sent_at,
-                                    attempt,
-                                    &mut frame,
-                                );
-                                push_frame!(dst, reply_to, frame, done);
-                            } else {
-                                // Fan out: distinct peers, skipping this
-                                // coordinator, in a fixed rotation. The
-                                // consumed request buffer seeds the slab,
-                                // so the first leg reuses it directly.
-                                slab.put(frame);
-                                {
-                                    let c = &mut coords[cx(id, leg)];
-                                    c.started = true;
-                                    c.serve_done = done;
-                                    c.serve_attempt = attempt;
-                                }
-                                let deg = tree.degrees[tier];
-                                let need = tree.needed[tier];
-                                let p_local = dst as usize - clients;
-                                for j in 0..deg {
-                                    let child = tree.child(leg, j);
-                                    let backend = (clients + ((p_local + 1 + j) % servers)) as u16;
-                                    if quarantined.contains(&backend) {
-                                        // The backend failed attestation:
-                                        // the coordinator refuses the leg
-                                        // on the spot — resolved, no frame.
-                                        let cl = &mut legs[lx(id, child)];
-                                        cl.src = dst;
-                                        cl.dst = backend;
-                                        cl.sent = done;
-                                        cl.resolved = true;
-                                        cl.outcome = RequestOutcome::Refused;
-                                        stats.legs_refused += 1;
-                                        coords[cx(id, leg)].bad_children += 1;
-                                        continue;
-                                    }
-                                    issue_leg!(id, child, dst, backend, done);
-                                }
-                                // Enough refused legs can make the quorum
-                                // arithmetically impossible before any
-                                // reply: fail fast with an upstream NACK.
-                                let c = &mut coords[cx(id, leg)];
-                                if !c.join_done && c.bad_children > deg as u32 - need {
-                                    c.join_done = true;
-                                    stats.joins_failed += 1;
-                                    answer_upstream!(id, leg, FrameKind::Nack, done);
-                                }
-                            }
+            Ev::Deliver { dst, frame } => {
+                let h = frame.hdr;
+                let (id, leg) = split_frame_id(h.id);
+                let leg = leg as usize;
+                let rx = &zeros[..frame.len];
+                if frame.corrupt {
+                    // Mangled frame: the RX path still pays the copy (if
+                    // the VM is up), then the checksum rejects it. The
+                    // header is intact, so a corrupt *reply* is pinned
+                    // on its leg and the deadline names `Corrupt`; a
+                    // corrupt request (whose leg was issued elsewhere)
+                    // is left to the issuer's retry path or deadline.
+                    rel.corrupt_rx += 1;
+                    if !nodes[dst as usize].is_crashed() {
+                        let _ = nodes[dst as usize].receive(now, rx, horizon);
+                    }
+                    let l = &mut legs[lx(id, leg)];
+                    if !l.resolved && l.src == dst {
+                        l.corrupt_seen = true;
+                    }
+                    continue;
+                }
+                let node = &mut nodes[dst as usize];
+                if node.is_crashed() {
+                    // The NIC died with the VM: nothing to receive into.
+                    // The issuer's retry path (or deadline) owns
+                    // recovery.
+                    node.stats.crash_drops += 1;
+                    rel.crash_drops += 1;
+                    continue;
+                }
+                let done = node.receive(now, rx, horizon);
+                if h.kind == FrameKind::Request {
+                    debug_assert_eq!(node.role, Role::Server, "requests land at servers");
+                    // Request lands: dedupe check, admission check,
+                    // queue for the service core, compute, then answer
+                    // (response or NACK) or fan out. Every answer echoes
+                    // the request's header with its own kind.
+                    let ready = done;
+                    let answer = |kind| FrameHeader { kind, ..h };
+                    let tier = tree.tier_of(leg);
+                    let leaf = tier == tree.depth();
+                    if leaf {
+                        // A duplicate attempt (hedge/retransmit) of a leg
+                        // this server already admitted replays the cached
+                        // answer: at-most-once execution against the
+                        // issuer's at-least-once transmission. It never
+                        // takes an admission slot or a second service, and
+                        // departs no earlier than this RX and the original
+                        // service.
+                        if let Some(done) = node.cached_response(h.id) {
+                            rel.dups_absorbed += 1;
+                            let reply = answer(FrameKind::Response);
+                            push_frame!(dst, h.client, reply, ready.max(done));
+                            continue;
                         }
-                        Ok(FrameHeader {
-                            id: raw,
-                            kind,
-                            attempt,
-                            ..
-                        }) => {
-                            // A leg reply (response or NACK) lands back
-                            // at its coordinator.
-                            let (id, leg) = split_frame_id(raw);
-                            let leg = leg as usize;
-                            let node = &mut nodes[dst as usize];
-                            if node.is_crashed() {
-                                // The coordinator's VM is down: the
-                                // reply dies at its NIC. Parent timers
-                                // own recovery.
-                                node.stats.crash_drops += 1;
-                                rel.crash_drops += 1;
-                                slab.put(frame);
-                                continue;
-                            }
-                            let done = node.receive(now, &frame, horizon);
-                            slab.put(frame);
-                            if leg == 0 {
-                                continue; // unreachable: client frames route to clients
-                            }
-                            let tier = tree.tier_of(leg);
-                            let ctl = &tier_ctl[tier];
-                            let l = &mut legs[lx(id, leg)];
-                            if l.resolved {
-                                continue; // duplicate answer after resolution
-                            }
-                            match kind {
-                                FrameKind::Response => {
-                                    let lat = done.saturating_sub(l.sent);
-                                    if ctl.adaptive {
-                                        // Feed the live distribution and
-                                        // clear the breaker's streak.
-                                        let d = &mut dest_state[dix(tier, l.dst)];
-                                        d.tracker.record(lat.as_nanos().max(1));
-                                        d.breaker.on_success();
-                                    }
-                                    l.resolved = true;
-                                    l.completed = done;
-                                    l.outcome = if l.hedge_attempt == Some(attempt) {
-                                        RequestOutcome::OkHedged { attempt }
-                                    } else {
-                                        RequestOutcome::Ok { attempt }
-                                    };
-                                    stats.tier1.record(lat.as_nanos().max(1) as f64);
-                                    stats.legs_ok += 1;
-                                    resolve_child!(id, leg, true, true, done);
-                                }
-                                FrameKind::Nack => {
-                                    if ctl.adaptive {
-                                        // A NACK proves the destination
-                                        // reachable.
-                                        dest_state[dix(tier, l.dst)].breaker.on_success();
-                                    }
-                                    if ctl.base.is_some() {
-                                        // Retries may still land this
-                                        // leg; the deadline owns the
-                                        // terminal outcome.
-                                        l.nack_seen = true;
-                                    } else {
-                                        l.resolved = true;
-                                        l.outcome = RequestOutcome::Shed;
-                                        stats.legs_shed += 1;
-                                        resolve_child!(id, leg, false, true, done);
-                                    }
-                                }
-                                FrameKind::Request => {}
-                            }
+                    } else if coords[cx(id, leg)].started {
+                        // Coordinator dedupe: the fan-out ran already.
+                        // Replay the join answer when it exists; absorb
+                        // silently while the join is still pending (the
+                        // original flow will answer).
+                        rel.dups_absorbed += 1;
+                        let c = coords[cx(id, leg)];
+                        if let Some(kind) = c.answer {
+                            push_frame!(dst, h.client, answer(kind), ready.max(c.answer_at));
                         }
-                        Err(e) => {
-                            // Mangled frame at a server: the RX path
-                            // still pays the copy (if the VM is up),
-                            // then the checksum rejects it. A surviving
-                            // header attributes a corrupt *reply* to
-                            // its leg so the deadline names `Corrupt`;
-                            // a corrupt request is left to the issuer's
-                            // retry path (or deadline).
-                            rel.corrupt_rx += 1;
-                            if !nodes[dst as usize].is_crashed() {
-                                let _ = nodes[dst as usize].receive(now, &frame, horizon);
-                            }
-                            if let FrameError::Corrupt(Some(h)) = e {
-                                let (id, leg) = split_frame_id(h.id);
-                                let leg = leg as usize;
-                                if leg > 0 && leg < tree.total {
-                                    if let Some(l) = legs.get_mut(lx(id, leg)) {
-                                        if !l.resolved && l.src == dst {
-                                            l.corrupt_seen = true;
-                                        }
-                                    }
-                                }
-                            }
-                            slab.put(frame);
+                        continue;
+                    }
+                    if !nodes[dst as usize].admit_with(ready, &admission) {
+                        rel.nacks_sent += 1;
+                        push_frame!(dst, h.client, answer(FrameKind::Nack), ready);
+                        continue;
+                    }
+                    // Tier by leg index: 0 = frontend work, else backend
+                    // leg work; a stochastic tier draws its multiplier
+                    // from its own (id, leg)-keyed stream, a `Det` tier
+                    // serves the base phase.
+                    let dist = if leg == 0 { scn.service } else { scn.backend };
+                    let phase = match dist {
+                        ServiceDist::Det => base_phase,
+                        _ => {
+                            let mut rng = SimRng::new(leg_seed(svc_root, id, leg as u32));
+                            scale_phase(&base_phase, dist.sample(&mut rng))
+                        }
+                    };
+                    let done = nodes[dst as usize].serve(ready, &phase, horizon);
+                    if leaf {
+                        nodes[dst as usize].note_served(h.id, done);
+                        push_frame!(dst, h.client, answer(FrameKind::Response), done);
+                        continue;
+                    }
+                    // Fan out: distinct peers, skipping this coordinator,
+                    // in a fixed rotation.
+                    {
+                        let c = &mut coords[cx(id, leg)];
+                        c.started = true;
+                        c.serve_done = done;
+                        c.serve_attempt = h.attempt;
+                    }
+                    let deg = tree.degrees[tier];
+                    let need = tree.needed[tier];
+                    let p_local = dst as usize - clients;
+                    for j in 0..deg {
+                        let child = tree.child(leg, j);
+                        let backend = (clients + ((p_local + 1 + j) % servers)) as u16;
+                        if quarantined.contains(&backend) {
+                            // The backend failed attestation: the
+                            // coordinator refuses the leg on the spot —
+                            // resolved, no frame.
+                            let cl = &mut legs[lx(id, child)];
+                            cl.src = dst;
+                            cl.dst = backend;
+                            cl.sent = done;
+                            cl.resolved = true;
+                            cl.outcome = RequestOutcome::Refused;
+                            stats.legs_refused += 1;
+                            coords[cx(id, leg)].bad_children += 1;
+                            continue;
+                        }
+                        issue_leg!(id, child, dst, backend, done);
+                    }
+                    // Enough refused legs can make the quorum
+                    // arithmetically impossible before any reply: fail
+                    // fast with an upstream NACK.
+                    let c = &mut coords[cx(id, leg)];
+                    if !c.join_done && c.bad_children > deg as u32 - need {
+                        c.join_done = true;
+                        stats.joins_failed += 1;
+                        answer_upstream!(id, leg, FrameKind::Nack, done);
+                    }
+                } else if leg > 0 {
+                    // A leg reply (response or NACK) lands back at its
+                    // coordinator.
+                    debug_assert_eq!(node.role, Role::Server, "leg replies land at servers");
+                    let tier = tree.tier_of(leg);
+                    let ctl = &tier_ctl[tier];
+                    let l = &mut legs[lx(id, leg)];
+                    if l.resolved {
+                        continue; // duplicate answer after resolution
+                    }
+                    if h.kind == FrameKind::Response {
+                        let lat = done.saturating_sub(l.sent);
+                        if ctl.adaptive {
+                            // Feed the live distribution and clear the
+                            // breaker's streak.
+                            let d = &mut dest_state[dix(tier, l.dst)];
+                            d.tracker.record(lat.as_nanos().max(1));
+                            d.breaker.on_success();
+                        }
+                        l.resolved = true;
+                        l.completed = done;
+                        l.outcome = if l.hedge_attempt == Some(h.attempt) {
+                            RequestOutcome::OkHedged { attempt: h.attempt }
+                        } else {
+                            RequestOutcome::Ok { attempt: h.attempt }
+                        };
+                        stats.tier1.record(lat.as_nanos().max(1) as f64);
+                        stats.legs_ok += 1;
+                        resolve_child!(id, leg, true, true, done);
+                    } else {
+                        if ctl.adaptive {
+                            // A NACK proves the destination reachable.
+                            dest_state[dix(tier, l.dst)].breaker.on_success();
+                        }
+                        if ctl.base.is_some() {
+                            // Retries may still land this leg; the
+                            // deadline owns the terminal outcome.
+                            l.nack_seen = true;
+                        } else {
+                            l.resolved = true;
+                            l.outcome = RequestOutcome::Shed;
+                            stats.legs_shed += 1;
+                            resolve_child!(id, leg, false, true, done);
                         }
                     }
                 } else {
                     // A reply lands at the originating client.
-                    match decoded {
-                        Ok(h) => {
-                            let done = nodes[dst as usize].receive(now, &frame, horizon);
-                            slab.put(frame);
-                            let (id, _) = split_frame_id(h.id);
-                            let l0 = &mut legs[lx(id, 0)];
-                            if l0.resolved {
-                                continue; // duplicate answer after resolution
-                            }
-                            match h.kind {
-                                FrameKind::Response => {
-                                    let lat = done.saturating_sub(h.sent).as_nanos().max(1);
-                                    let outcome = if l0.hedge_attempt == Some(h.attempt) {
-                                        RequestOutcome::OkHedged { attempt: h.attempt }
-                                    } else {
-                                        RequestOutcome::Ok { attempt: h.attempt }
-                                    };
-                                    l0.resolved = true;
-                                    l0.completed = done;
-                                    l0.outcome = outcome;
-                                    if tier_ctl[0].adaptive {
-                                        // Feed the live distribution and
-                                        // clear the breaker's streak.
-                                        let d = &mut dest_state[dix(0, l0.dst)];
-                                        d.tracker.record(lat);
-                                        d.breaker.on_success();
-                                    }
-                                    latency.record(lat as f64);
-                                    nodes[dst as usize].latency_hist.record(lat as f64);
-                                    let rec = &mut records[id as usize];
-                                    rec.completed = Some(done);
-                                    rec.outcome = outcome;
-                                    completed += 1;
-                                    session_continue!(id, done);
-                                }
-                                FrameKind::Nack => {
-                                    l0.nack_seen = true;
-                                    // A NACK is proof of reachability:
-                                    // the breaker detects silent
-                                    // destinations, not loaded ones.
-                                    if tier_ctl[0].adaptive {
-                                        dest_state[dix(0, l0.dst)].breaker.on_success();
-                                    }
-                                }
-                                FrameKind::Request => {}
-                            }
+                    debug_assert_eq!(node.role, Role::Client, "leg-0 replies land at clients");
+                    let l0 = &mut legs[lx(id, 0)];
+                    if l0.resolved {
+                        continue; // duplicate answer after resolution
+                    }
+                    if h.kind == FrameKind::Response {
+                        let lat = done.saturating_sub(h.sent).as_nanos().max(1);
+                        let outcome = if l0.hedge_attempt == Some(h.attempt) {
+                            RequestOutcome::OkHedged { attempt: h.attempt }
+                        } else {
+                            RequestOutcome::Ok { attempt: h.attempt }
+                        };
+                        l0.resolved = true;
+                        l0.completed = done;
+                        l0.outcome = outcome;
+                        if tier_ctl[0].adaptive {
+                            // Feed the live distribution and clear the
+                            // breaker's streak.
+                            let d = &mut dest_state[dix(0, l0.dst)];
+                            d.tracker.record(lat);
+                            d.breaker.on_success();
                         }
-                        Err(FrameError::Corrupt(hdr)) => {
-                            rel.corrupt_rx += 1;
-                            let _ = nodes[dst as usize].receive(now, &frame, horizon);
-                            slab.put(frame);
-                            // The header survived (the corrupt gate flips
-                            // payload bytes), so the damage is attributable.
-                            if let Some(l0) =
-                                hdr.and_then(|h| legs.get_mut(lx(split_frame_id(h.id).0, 0)))
-                            {
-                                if !l0.resolved {
-                                    l0.corrupt_seen = true;
-                                }
-                            }
+                        latency.record(lat as f64);
+                        nodes[dst as usize].latency_hist.record(lat as f64);
+                        let rec = &mut records[id as usize];
+                        rec.completed = Some(done);
+                        rec.outcome = outcome;
+                        completed += 1;
+                        session_continue!(id, done);
+                    } else {
+                        l0.nack_seen = true;
+                        // A NACK is proof of reachability: the breaker
+                        // detects silent destinations, not loaded ones.
+                        if tier_ctl[0].adaptive {
+                            dest_state[dix(0, l0.dst)].breaker.on_success();
                         }
-                        Err(FrameError::Truncated) => slab.put(frame),
                     }
                 }
             }

@@ -758,17 +758,19 @@ impl FabricFaultPlan {
         }
     }
 
-    /// Should this frame arrive with its payload mangled? Returns a
-    /// seeded salt the caller uses to pick which byte to flip, or
-    /// `None` when the frame passes clean. Corruption is a delivery
-    /// fault, not a drop: the frame still arrives (and still pays wire
-    /// time); the receiver is expected to catch it by checksum.
-    pub fn corrupt_frame(&mut self) -> Option<u64> {
+    /// Should this frame arrive with its payload mangled? Corruption is
+    /// a delivery fault, not a drop: the frame still arrives (and still
+    /// pays wire time); the receiver is expected to catch it by checksum.
+    pub fn corrupt_frame(&mut self) -> bool {
         if self.corrupt_p > 0.0 && self.corrupt_rng.chance(self.corrupt_p) {
             self.stats.frames_corrupted += 1;
-            Some(self.corrupt_rng.next_u64())
+            // Each hit still draws the salt that once picked the byte to
+            // flip. Nothing reads it, but dropping the draw would shift
+            // the corrupt stream and move every later corrupt decision.
+            self.corrupt_rng.next_u64();
+            true
         } else {
-            None
+            false
         }
     }
 
@@ -991,18 +993,18 @@ mod tests {
         let spec = FabricFaultSpec::parse("corrupt:0.5").unwrap();
         let draw = |seed| {
             let mut p = FabricFaultPlan::new(&spec, seed);
-            let out: Vec<Option<u64>> = (0..64).map(|_| p.corrupt_frame()).collect();
+            let out: Vec<bool> = (0..64).map(|_| p.corrupt_frame()).collect();
             (out, p.stats.frames_corrupted)
         };
         let (a, hits) = draw(7);
-        assert_eq!(draw(7), (a.clone(), hits), "same seed, same salts");
+        assert_eq!(draw(7), (a.clone(), hits), "same seed, same gates");
         assert_ne!(draw(8).0, a, "different seed, different gate sequence");
         assert!(hits > 0 && hits < 64, "p=0.5 should mix over 64 frames");
-        assert_eq!(hits, a.iter().filter(|s| s.is_some()).count() as u64);
+        assert_eq!(hits, a.iter().filter(|&&hit| hit).count() as u64);
         // The corrupt stream is independent of the drop stream.
         let both = FabricFaultSpec::parse("corrupt:0.5,drop:0.5").unwrap();
         let mut p = FabricFaultPlan::new(&both, 7);
-        let interleaved: Vec<Option<u64>> = (0..64)
+        let interleaved: Vec<bool> = (0..64)
             .map(|_| {
                 let _ = p.drop_frame();
                 p.corrupt_frame()

@@ -344,7 +344,7 @@ fn cmd_parallel(flags: &HashMap<String, String>) -> Option<()> {
 /// svcload tail-latency workload over the simulated fabric.
 fn cmd_cluster(flags: &HashMap<String, String>) -> Option<()> {
     use kitten_hafnium::cluster::{self, ClusterConfig};
-    use kitten_hafnium::sim::fault::FabricFaultSpec;
+    use kitten_hafnium::sim::fault::{FabricFaultPlan, FabricFaultSpec};
     use kitten_hafnium::workloads::adaptive::AdaptivePolicy;
     use kitten_hafnium::workloads::svcload::{RetryPolicy, SvcLoadConfig};
 
@@ -463,6 +463,35 @@ fn cmd_cluster(flags: &HashMap<String, String>) -> Option<()> {
             .get("fault-seed")
             .map(|s| s.parse().ok())
             .unwrap_or(Some(1))?;
+        // A clause naming a node the run does not have would never fire.
+        let plan = FabricFaultPlan::new(&spec, fault_seed);
+        let last = nodes - 1;
+        let servers = cfg.clients()..nodes;
+        let bad_target = if let Some(e) = plan
+            .svc_crash_events()
+            .iter()
+            .find(|e| !servers.contains(&(e.node as usize)))
+        {
+            Some(format!(
+                "crashsvc targets node {}, but the servers are nodes {}..={last}",
+                e.node, servers.start
+            ))
+        } else if let Some(n) = plan
+            .partitioned_nodes()
+            .into_iter()
+            .chain(plan.tampered_nodes().iter().copied())
+            .find(|&n| n as usize > last)
+        {
+            Some(format!("node {n} does not exist (nodes are 0..={last})"))
+        } else if !plan.tampered_nodes().is_empty() && !cfg.attest {
+            Some("tamper@NODE needs --attest".to_string())
+        } else {
+            None
+        };
+        if let Some(why) = bad_target {
+            eprintln!("error: --faults {raw}: {why}");
+            return None;
+        }
         cfg.faults = Some((spec, fault_seed));
     }
     let report = cluster::run(&cfg);

@@ -103,3 +103,27 @@ fn svcload_writes_the_csv_of_its_depth0_scenario() {
     assert!(a.lines().count() > 1, "no requests traced");
     assert_eq!(a, b);
 }
+
+#[test]
+fn a_fault_clause_naming_a_missing_target_is_refused() {
+    refused(
+        &["cluster", "--nodes", "2", "--faults", "crashsvc@1ms:7"],
+        "crashsvc targets node 7, but the servers are nodes 1..=1",
+    );
+    refused(
+        &["cluster", "--faults", "crashsvc@1ms:0"],
+        "crashsvc targets node 0, but the servers are nodes 2..=3",
+    );
+    refused(
+        &["cluster", "--nodes", "4", "--faults", "partition@1ms:1ms:9"],
+        "node 9 does not exist (nodes are 0..=3)",
+    );
+    refused(
+        &["cluster", "--attest", "--faults", "tamper@9"],
+        "node 9 does not exist (nodes are 0..=3)",
+    );
+    refused(
+        &["cluster", "--faults", "tamper@2"],
+        "tamper@NODE needs --attest",
+    );
+}

@@ -295,26 +295,54 @@ proptest! {
         );
     }
 
-    /// Frame integrity: flipping any single byte of a well-formed
-    /// request frame is always caught by the header checksum (FNV-1a's
-    /// per-byte xor-then-multiply step is injective in the byte, so a
-    /// one-byte delta can never collide).
+    /// Frame integrity: flipping any single byte of a well-formed frame
+    /// is always caught by the header checksum (FNV-1a's per-byte
+    /// xor-then-multiply step is injective in the byte, so a one-byte
+    /// delta can never collide). A flip past the header or inside the
+    /// checksum field — where the fabric's corrupt gate lands — decodes
+    /// to exactly `Corrupt` with the original header, which is why the
+    /// cluster carries corruption as a flag next to the header.
     #[test]
     fn any_single_byte_flip_is_detected(
         id in any::<u64>(),
         client in any::<u16>(),
         sent_us in 0u64..1_000_000,
+        attempt in any::<u8>(),
+        // Half the sizes fall near the 24-byte header, below it included.
+        request_bytes in prop_oneof![0usize..=32, 0usize..=2048],
+        response_bytes in prop_oneof![0usize..=32, 0usize..=2048],
         pos_sel in any::<u64>(),
         flip in 1u8..=255,
     ) {
-        use kitten_hafnium::workloads::svcload::{decode_frame, request_frame, SvcLoadConfig};
-        let cfg = SvcLoadConfig::default();
-        let clean = request_frame(&cfg, id, client, Nanos::from_micros(sent_us), 0);
-        prop_assert!(decode_frame(&clean).is_ok());
-        let mut frame = clean;
-        let pos = (pos_sel % frame.len() as u64) as usize;
-        frame[pos] ^= flip;
-        prop_assert!(decode_frame(&frame).is_err(), "byte {pos} flip slipped through");
+        use kitten_hafnium::workloads::svcload::{
+            decode_frame, nack_frame, request_frame, response_frame, FrameError, FrameHeader,
+            FrameKind, SvcLoadConfig, HEADER_BYTES,
+        };
+        let cfg = SvcLoadConfig { request_bytes, response_bytes, ..SvcLoadConfig::default() };
+        let sent = Nanos::from_micros(sent_us);
+        for kind in [FrameKind::Request, FrameKind::Response, FrameKind::Nack] {
+            let build = match kind {
+                FrameKind::Request => request_frame,
+                FrameKind::Response => response_frame,
+                FrameKind::Nack => nack_frame,
+            };
+            let hdr = FrameHeader { id, client, sent, kind, attempt };
+            let clean = build(&cfg, id, client, sent, attempt);
+            prop_assert_eq!(clean.len(), cfg.wire_bytes(kind));
+            prop_assert_eq!(decode_frame(&clean), Ok(hdr));
+            // Any byte at all: detected.
+            let mut frame = clean.clone();
+            let pos = (pos_sel % frame.len() as u64) as usize;
+            frame[pos] ^= flip;
+            prop_assert!(decode_frame(&frame).is_err(), "byte {pos} flip slipped through");
+            // The checksum field (the header's last four bytes) or the
+            // payload: detected, and the header survives.
+            let mut frame = clean;
+            let checksum_start = HEADER_BYTES - 4;
+            let pos = checksum_start + (pos_sel % (frame.len() - checksum_start) as u64) as usize;
+            frame[pos] ^= flip;
+            prop_assert_eq!(decode_frame(&frame), Err(FrameError::Corrupt(Some(hdr))));
+        }
     }
 
     /// The per-leg seed derivation spreads adjacent request ids into
