@@ -780,16 +780,23 @@ mod golden {
                     },
                 ),
             ),
+            (
+                "depth0-colocated-linux",
+                case("arrive=exp:500us,svc=exp,colocate=hpcg:6", 13, &|c| {
+                    c.server_stack = StackKind::HafniumLinux;
+                }),
+            ),
         ]
     }
 
-    const SCENARIO_GOLDEN: [(&str, u64); 6] = [
+    const SCENARIO_GOLDEN: [(&str, u64); 7] = [
         ("depth0-open", 0x5fc2_39da_7857_8a29),
         ("depth0-closed-retry", 0x1aef_f9d1_3d73_6fee),
         ("depth1-quorum-adaptive", 0x6638_85f4_bf90_102a),
         ("depth1-retry-override", 0x16e0_5bad_e0d2_2f18),
         ("depth3-adaptive-crash", 0x702a_fe0a_249d_4c73),
         ("depth3-closed-overrides", 0xa77b_f7c3_3d8f_86e1),
+        ("depth0-colocated-linux", 0x8724_6bb2_6ae1_7623),
     ];
 
     #[test]
@@ -801,6 +808,210 @@ mod golden {
             let got = digest(&cluster::run(&cfg));
             if got != want {
                 failures.push(format!("{name}: {got:#018x} (pinned {want:#018x})"));
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "digests moved:\n{}",
+            failures.join("\n")
+        );
+    }
+
+    /// Single-machine runs: `RunReport` Debug plus the trace CSV, one
+    /// case per noise source and per caller-only event (faults,
+    /// co-tenant slices, the translation replay, an injected abort or
+    /// component restart, a host-tick override).
+    fn machine_cases() -> Vec<(&'static str, u64)> {
+        use kitten_hafnium::core::config::CoTenantSlices;
+        use kitten_hafnium::core::figures::DEFAULT_FAULT_SPEC;
+        use kitten_hafnium::core::machine::Machine;
+        use kitten_hafnium::core::MachineConfig;
+        use kitten_hafnium::sim::fault::{FaultPlan, FaultSpec};
+        use kitten_hafnium::workloads::gups::{GupsConfig, GupsModel};
+        use kitten_hafnium::workloads::netecho::{NetEchoConfig, NetEchoModel};
+        use kitten_hafnium::workloads::selfish::{SelfishConfig, SelfishDetour};
+        use kitten_hafnium::workloads::Workload;
+
+        let selfish = |ms: u64| -> Box<dyn Workload> {
+            Box::new(SelfishDetour::new(SelfishConfig {
+                duration: Nanos::from_millis(ms),
+                ..Default::default()
+            }))
+        };
+        let gups = || -> Box<dyn Workload> {
+            Box::new(GupsModel::new(GupsConfig {
+                log2_table: 18,
+                updates_per_entry: 2,
+            }))
+        };
+        let run = |stack: StackKind,
+                   seed: u64,
+                   tweak: &dyn Fn(&mut MachineConfig),
+                   plan: Option<FaultPlan>,
+                   mut w: Box<dyn Workload>| {
+            let mut cfg = MachineConfig::pine_a64(stack, seed);
+            tweak(&mut cfg);
+            let mut m = Machine::new(cfg);
+            m.enable_tracing(1 << 20);
+            if let Some(plan) = plan {
+                m.inject_faults(plan);
+            }
+            let r = m.run(w.as_mut());
+            let mut sums = Vec::new();
+            sums.extend_from_slice(&checksum(format!("{r:?}").as_bytes()).to_le_bytes());
+            sums.extend_from_slice(&checksum(m.trace().to_csv().as_bytes()).to_le_bytes());
+            checksum(&sums)
+        };
+        let storm = || {
+            let spec = FaultSpec::parse(DEFAULT_FAULT_SPEC).unwrap();
+            Some(FaultPlan::new(&spec, 1, Nanos::from_millis(200)))
+        };
+        let co_tenant = |c: &mut MachineConfig| {
+            c.options.co_tenant = Some(CoTenantSlices {
+                own_slice_ns: 3_000_000,
+                other_slice_ns: 3_000_000,
+            })
+        };
+        let fault_at = |c: &mut MachineConfig| c.options.inject_fault_at_ns = Some(100_000_000);
+        let plain = |_: &mut MachineConfig| {};
+        vec![
+            (
+                "selfish-native",
+                run(StackKind::NativeKitten, 3, &plain, None, selfish(300)),
+            ),
+            (
+                "selfish-kitten",
+                run(StackKind::HafniumKitten, 3, &plain, None, selfish(300)),
+            ),
+            (
+                "selfish-linux",
+                run(StackKind::HafniumLinux, 3, &plain, None, selfish(300)),
+            ),
+            (
+                "selfish-theseus",
+                run(StackKind::NativeTheseus, 3, &plain, None, selfish(300)),
+            ),
+            (
+                "gups-translation-kitten",
+                run(
+                    StackKind::HafniumKitten,
+                    5,
+                    &|c| c.options.model_translation = true,
+                    None,
+                    gups(),
+                ),
+            ),
+            (
+                "netecho-linux",
+                run(
+                    StackKind::HafniumLinux,
+                    7,
+                    &plain,
+                    None,
+                    Box::new(NetEchoModel::new(NetEchoConfig::default())),
+                ),
+            ),
+            (
+                "storm-kitten",
+                run(StackKind::HafniumKitten, 11, &plain, storm(), selfish(200)),
+            ),
+            (
+                "storm-linux",
+                run(StackKind::HafniumLinux, 11, &plain, storm(), selfish(200)),
+            ),
+            (
+                "cotenant-linux",
+                run(StackKind::HafniumLinux, 13, &co_tenant, None, gups()),
+            ),
+            (
+                "cotenant-native",
+                run(StackKind::NativeKitten, 13, &co_tenant, None, gups()),
+            ),
+            (
+                "fault-at-theseus",
+                run(StackKind::NativeTheseus, 17, &fault_at, None, selfish(300)),
+            ),
+            (
+                "fault-at-kitten",
+                run(StackKind::HafniumKitten, 17, &fault_at, None, selfish(300)),
+            ),
+            (
+                "host-hz-linux",
+                run(
+                    StackKind::HafniumLinux,
+                    19,
+                    &|c| c.options.host_tick_hz = Some(1000),
+                    None,
+                    selfish(200),
+                ),
+            ),
+        ]
+    }
+
+    const MACHINE_GOLDEN: [(&str, u64); 13] = [
+        ("selfish-native", 0x5be3_8621_c032_8dfe),
+        ("selfish-kitten", 0xf2ef_9710_1a7a_b03e),
+        ("selfish-linux", 0xfc4b_6cf0_275d_daa5),
+        ("selfish-theseus", 0x8809_6131_39f3_df0a),
+        ("gups-translation-kitten", 0x134b_5fe3_4183_a3f6),
+        ("netecho-linux", 0x8f85_bd92_64c5_4269),
+        ("storm-kitten", 0x0a47_36b1_ee0b_5046),
+        ("storm-linux", 0x3a5a_8a47_93cf_0c3b),
+        ("cotenant-linux", 0xce23_3a37_dfb3_60f9),
+        ("cotenant-native", 0xc40e_e38c_9eca_0a15),
+        ("fault-at-theseus", 0xadff_4cd5_6de3_b38a),
+        ("fault-at-kitten", 0x41ae_b576_c7ef_a65b),
+        ("host-hz-linux", 0xc3e6_8aed_7bac_273d),
+    ];
+
+    #[test]
+    fn machine_runs_match_golden_digests() {
+        let mut failures = Vec::new();
+        for ((name, got), (pinned_name, want)) in machine_cases().into_iter().zip(MACHINE_GOLDEN) {
+            assert_eq!(name, pinned_name);
+            if got != want {
+                failures.push(format!("{name}: {got:#018x} (pinned {want:#018x})"));
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "digests moved:\n{}",
+            failures.join("\n")
+        );
+    }
+
+    /// `ParallelReport` Debug for LU x4 under per-phase barriers and EP
+    /// x4 without, under both tenancies, one digest per stack.
+    const PARALLEL_GOLDEN: [(StackKind, u64); 4] = [
+        (StackKind::NativeKitten, 0x296e_e90f_bc49_d5cd),
+        (StackKind::HafniumKitten, 0xedd7_3ab4_884e_5b1d),
+        (StackKind::HafniumLinux, 0x14a4_b5ac_413a_30e5),
+        (StackKind::NativeTheseus, 0x4a20_a6fe_c10d_abc5),
+    ];
+
+    #[test]
+    fn parallel_runs_match_golden_digests() {
+        use kitten_hafnium::core::parallel::{BarrierMode, ParallelMachine, Tenancy};
+        use kitten_hafnium::core::MachineConfig;
+        use kitten_hafnium::workloads::nas::NasBenchmark;
+
+        let mut failures = Vec::new();
+        for (stack, want) in PARALLEL_GOLDEN {
+            let mut sums = Vec::new();
+            for tenancy in [Tenancy::SingleVm, Tenancy::VmPerThread] {
+                for (bench, barrier) in [
+                    (NasBenchmark::Lu, BarrierMode::PerPhase),
+                    (NasBenchmark::Ep, BarrierMode::None),
+                ] {
+                    let cfg = MachineConfig::pine_a64(stack, 29);
+                    let mut m = ParallelMachine::with_tenancy(cfg, 4, tenancy);
+                    let r = m.run((0..4).map(|_| bench.model()).collect(), barrier);
+                    sums.extend_from_slice(&checksum(format!("{r:?}").as_bytes()).to_le_bytes());
+                }
+            }
+            let got = checksum(&sums);
+            if got != want {
+                failures.push(format!("{stack:?}: {got:#018x} (pinned {want:#018x})"));
             }
         }
         assert!(
