@@ -135,7 +135,7 @@ impl PollutionState {
 }
 
 /// Cost breakdown for a priced phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseCost {
     /// Total core cycles, including walk and re-warm overheads.
     pub cycles: u64,

@@ -2,15 +2,18 @@
 //!
 //! Each [`Node`] boots a real [`Spm`] from a manifest (Kitten or Linux
 //! primary + the `svc` secondary), owns a virtio-net device peered into
-//! the fabric, and accounts OS noise with the same cost helpers the
-//! single-machine executor uses (`kh_core::machine`).
+//! the fabric, and accounts OS noise with the noise-interleaving kernel
+//! the single-machine executor runs ([`kh_core::noise`]).
 //!
-//! The noise model is a *lazily-advanced cursor* rather than entries in
-//! the cluster's shared event queue: each node tracks its next host
+//! The noise is a *lazily-advanced* [`NoiseCursor`] rather than entries
+//! in the cluster's shared event queue: each node tracks its next host
 //! tick, guest tick, and background burst, and [`Node::advance_noise_to`]
 //! replays everything due up to a boundary — bumping `busy_until` by each
 //! event's stolen time and driving the real SPM preempt/`vcpu_run`/vGIC
-//! state machine. Two invariants fall out of this design:
+//! state machine. [`Node::serve`] runs each request through
+//! [`run_phase`], which interleaves the events due inside its service
+//! window, and the quanta of a colocated HPC neighbour, into it. Two
+//! invariants fall out of this design:
 //!
 //! 1. **Determinism.** Noise draws come from the node's own RNG streams
 //!    in event-time order, never interleaved with other nodes or with
@@ -26,21 +29,20 @@
 
 use kh_arch::cpu::{CoreTimer, Phase, PollutionState, TranslationRegime};
 use kh_arch::el::ExceptionLevel;
-use kh_arch::noise::{NoiseEvent, OsTimingModel};
 use kh_arch::platform::Platform;
 use kh_core::config::{MachineConfig, StackKind, StackOptions};
-use kh_core::machine::{background_steal, guest_tick_steal, host_tick_steal, rewarm_extra};
+use kh_core::noise::{
+    run_phase, spm_dispatch, spm_tick, Fired, Hooks, NoiseCursor, NoiseModel, Quirks, Source,
+};
 use kh_hafnium::hypercall::HfCall;
 use kh_hafnium::manifest::{BootManifest, VmKind, VmManifest};
 use kh_hafnium::spm::{Spm, SpmConfig};
 use kh_hafnium::vm::{VcpuRunExit, VmId};
-use kh_kitten::profile::KittenProfile;
 use kh_kitten::secondary::SecondaryPort;
-use kh_linux::profile::LinuxProfile;
 use kh_metrics::hist::LogHistogram;
 use kh_scenario::HpcKind;
 use kh_sim::{Nanos, SimRng};
-use kh_theseus::{TheseusProfile, TheseusRuntime, SAFETY_TAX};
+use kh_theseus::TheseusRuntime;
 use kh_virtio::{PeerBackend, VirtioNet};
 use kh_workloads::Workload;
 use std::collections::{HashMap, VecDeque};
@@ -122,6 +124,20 @@ impl HpcNeighbor {
             };
             self.quanta.push((start + Nanos(dur), pollution));
         }
+    }
+
+    /// If the neighbour owns the core at `t`, the instant it hands back
+    /// plus the pollution it leaves behind.
+    fn window_at(
+        &mut self,
+        timer: &CoreTimer,
+        jitter_sigma: f64,
+        t: Nanos,
+    ) -> Option<(Nanos, PollutionState)> {
+        let k = (t.as_nanos() / HPC_QUANTUM_PERIOD.as_nanos()) as usize;
+        self.ensure(timer, jitter_sigma, k);
+        let (end, pollution) = self.quanta[k];
+        (t < end).then_some((end, pollution))
     }
 }
 
@@ -226,7 +242,8 @@ enum Backend {
         spm: Box<Spm>,
         port: SecondaryPort,
         svc_vm: VmId,
-        guest: KittenProfile,
+        /// The guest Kitten's virtual-timer period.
+        vtimer: Nanos,
     },
     Theseus(TheseusRuntime),
 }
@@ -237,17 +254,14 @@ pub struct Node {
     pub role: Role,
     cfg: MachineConfig,
     timer: CoreTimer,
-    host: Box<dyn OsTimingModel>,
+    noise: NoiseModel,
+    cursor: NoiseCursor,
     backend: Backend,
     /// Boot-chain measurement, fixed at boot; attestation evidence.
     measurement: [u8; 32],
     net: VirtioNet,
     peer: PeerBackend,
     service_rng: SimRng,
-    // --- the noise cursor ---
-    host_tick_at: Nanos,
-    guest_tick_at: Nanos,
-    background: Option<NoiseEvent>,
     /// Completion times of admitted requests still in the service
     /// queue; admission control bounds its occupancy.
     pending_done: VecDeque<Nanos>,
@@ -289,13 +303,7 @@ impl Node {
         };
         let timer = CoreTimer::new(platform);
         let mut rng = SimRng::new(seed ^ 0x6B68_6E6F_6465); // "khnode"
-        let mut host: Box<dyn OsTimingModel> = match stack {
-            // Only the Linux arm consumes a seed draw — existing arms'
-            // draw order is untouched by the Theseus addition.
-            StackKind::HafniumLinux => Box::new(LinuxProfile::new(rng.next_u64(), 1)),
-            StackKind::NativeTheseus => Box::new(TheseusProfile::default()),
-            _ => Box::new(KittenProfile::default()),
-        };
+        let mut noise = NoiseModel::new(&cfg, 1, &mut rng, Quirks::NODE); // one service core
         let mut stats = NodeStats::default();
         let (backend, measurement) = if stack == StackKind::NativeTheseus {
             let rt = TheseusRuntime::new(seed);
@@ -329,30 +337,18 @@ impl Node {
             let svc_vm = VmId(2);
             let port = SecondaryPort::new(svc_vm);
             port.boot_probe().expect("secondary port has workarounds");
-            let guest = KittenProfile::with_tick_hz(cfg.options.guest_tick_hz);
+            let vtimer = noise.guest_period().expect("virtualized nodes run a guest");
 
             // Initial dispatch + vtimer arming, exactly as Machine::run
             // does.
-            spm.hypercall(
-                VmId::PRIMARY,
-                0,
-                0,
-                HfCall::VcpuRun {
-                    vm: svc_vm,
-                    vcpu: 0,
-                },
-                Nanos::ZERO,
-            )
-            .expect("initial dispatch");
+            spm_dispatch(&mut spm, &port, 0, vtimer, Nanos::ZERO);
             stats.vcpu_runs += 1;
-            port.init_timer(&mut spm, 0, 0, guest.tick_period, Nanos::ZERO)
-                .expect("vtimer init");
             (
                 Backend::Spm {
                     spm: Box::new(spm),
                     port,
                     svc_vm,
-                    guest,
+                    vtimer,
                 },
                 measurement,
             )
@@ -361,14 +357,7 @@ impl Node {
         // Tick schedules start at a random phase offset, one stream per
         // node, drawn in a fixed order (host, then guest). Theseus has
         // no guest and takes no second draw.
-        let host_tick_at = Nanos(1 + rng.next_below(host.tick_period().as_nanos().max(1)));
-        let guest_tick_at = match &backend {
-            Backend::Spm { guest, .. } => {
-                Nanos(1 + rng.next_below(guest.tick_period.as_nanos().max(1)))
-            }
-            Backend::Theseus(_) => Nanos::MAX,
-        };
-        let background = host.next_background(0, Nanos::ZERO);
+        let cursor = NoiseCursor::start(&mut noise, 0, &mut rng);
         let service_rng = SimRng::new(seed ^ 0x6B68_7376_636A); // "khsvcj"
 
         Node {
@@ -376,15 +365,13 @@ impl Node {
             role,
             cfg,
             timer,
-            host,
+            noise,
+            cursor,
             backend,
             measurement,
             net: VirtioNet::new(&platform, NET_INTID, QUEUE_SIZE, 0),
             peer: PeerBackend::default(),
             service_rng,
-            host_tick_at,
-            guest_tick_at,
-            background,
             pending_done: VecDeque::new(),
             served_cache: HashMap::new(),
             codel: CoDelState::default(),
@@ -394,27 +381,6 @@ impl Node {
             noise_hist: LogHistogram::for_detours(),
             latency_hist: LogHistogram::for_latency(),
             stats,
-        }
-    }
-
-    /// The address-translation regime service work is priced under:
-    /// two-stage walks under Hafnium, stage-1 only for Theseus (single
-    /// address space, no hypervisor).
-    fn regime(&self) -> TranslationRegime {
-        if self.cfg.stack.is_virtualized() {
-            TranslationRegime::TwoStage
-        } else {
-            TranslationRegime::Stage1Only
-        }
-    }
-
-    /// Work-time multiplier: Theseus pays the safe-language bounds
-    /// check/safety tax on service compute; the other stacks pay
-    /// exactly 1.0 (bitwise, so existing arms are unperturbed).
-    fn tax(&self) -> f64 {
-        match self.backend {
-            Backend::Theseus(_) => 1.0 + SAFETY_TAX,
-            Backend::Spm { .. } => 1.0,
         }
     }
 
@@ -436,114 +402,22 @@ impl Node {
                     + 2 * t.round_trip_cycles(ExceptionLevel::El1, ExceptionLevel::El2);
                 self.cfg.platform.core_freq.cycles_to_nanos(cycles)
             }
-            Backend::Theseus(_) => self.host.ctx_switch_cost().scaled(2),
+            Backend::Theseus(_) => self.noise.host().ctx_switch_cost().scaled(2),
         }
-    }
-
-    /// Time of the next pending noise event.
-    fn next_noise_at(&self) -> Nanos {
-        let bg = self.background.as_ref().map(|e| e.at).unwrap_or(Nanos::MAX);
-        self.host_tick_at.min(self.guest_tick_at).min(bg)
-    }
-
-    /// Consume the earliest pending noise event: drive the SPM state
-    /// machine, advance the schedule, bump `busy_until`, and (below
-    /// `horizon`) record the stolen time. Returns (stolen, pollution).
-    fn fire_noise(&mut self, horizon: Nanos) -> (Nanos, PollutionState) {
-        let at = self.next_noise_at();
-        let bg_at = self.background.as_ref().map(|e| e.at).unwrap_or(Nanos::MAX);
-        let (stolen, pollution) = if at == self.host_tick_at {
-            self.stats.host_ticks += 1;
-            self.host_tick_at += self.host.tick_period();
-            // The physical timer IRQ preempts the secondary; the primary
-            // handles its tick and re-dispatches. A crashed secondary
-            // has nothing to re-dispatch (the tick itself still steals
-            // the same time, so the noise profile is crash-invariant).
-            // On Theseus the tick is a plain EL1 handler: no SPM state
-            // machine to drive, just the handler's own cost.
-            if let Backend::Spm { spm, svc_vm, .. } = &mut self.backend {
-                spm.preempt(0);
-                if !self.crashed {
-                    spm.hypercall(
-                        VmId::PRIMARY,
-                        0,
-                        0,
-                        HfCall::VcpuRun {
-                            vm: *svc_vm,
-                            vcpu: 0,
-                        },
-                        at,
-                    )
-                    .expect("re-dispatch after tick");
-                    self.stats.vcpu_runs += 1;
-                }
-            }
-            (
-                host_tick_steal(&self.cfg, self.host.as_ref()),
-                self.host.tick_pollution(),
-            )
-        } else if at == self.guest_tick_at {
-            let Backend::Spm {
-                spm,
-                port,
-                svc_vm,
-                guest,
-            } = &mut self.backend
-            else {
-                unreachable!("theseus nodes schedule no guest tick")
-            };
-            self.stats.guest_ticks += 1;
-            self.guest_tick_at += guest.tick_period;
-            // Re-arm the virtual timer and drain the para-virtual
-            // interrupt through the real SPM interfaces.
-            let _ = spm.hypercall(
-                VmId::PRIMARY,
-                0,
-                0,
-                HfCall::InterruptInject {
-                    vm: *svc_vm,
-                    vcpu: 0,
-                    intid: port.vtimer_intid,
-                },
-                at,
-            );
-            let _ = port.next_interrupt(spm, 0, 0, at);
-            let _ = spm.hypercall(
-                *svc_vm,
-                0,
-                0,
-                HfCall::ArmVtimer {
-                    delay_ns: guest.tick_period.as_nanos(),
-                },
-                at,
-            );
-            (guest_tick_steal(&self.cfg, guest), guest.tick_pollution)
-        } else {
-            debug_assert_eq!(at, bg_at);
-            let ev = self.background.take().expect("bg event");
-            self.stats.background_events += 1;
-            // The next burst is generated from the event's own time, not
-            // from whenever traffic triggered this replay: the schedule
-            // is a pure function of the node seed.
-            self.background = self.host.next_background(0, ev.at);
-            (
-                background_steal(&self.cfg, self.host.as_ref(), ev.duration),
-                ev.pollution,
-            )
-        };
-        if at < horizon {
-            self.noise_hist.record(stolen.as_nanos() as f64);
-        }
-        self.stats.stolen += stolen;
-        self.busy_until = self.busy_until.max(at) + stolen;
-        (stolen, pollution)
     }
 
     /// Replay every noise event due at or before `t`.
     pub fn advance_noise_to(&mut self, t: Nanos, horizon: Nanos) {
-        while self.next_noise_at() <= t {
-            self.fire_noise(horizon);
-        }
+        let mut hooks = NodeHooks {
+            backend: &mut self.backend,
+            crashed: self.crashed,
+            stats: &mut self.stats,
+            noise_hist: &mut self.noise_hist,
+            busy_until: &mut self.busy_until,
+            horizon,
+            hpc: None,
+        };
+        self.cursor.fire_due(&mut self.noise, t, &mut hooks);
     }
 
     /// Transmit `frame` through this node's NIC at `now`. Returns the
@@ -580,55 +454,41 @@ impl Node {
 
     /// Run the per-request service computation starting no earlier than
     /// `ready`, interleaving any noise events that fire inside the
-    /// window (each adds its stolen time plus cache/TLB re-warm).
-    /// Returns the completion instant; `busy_until` advances to it.
+    /// window (each adds its stolen time plus cache/TLB re-warm) and any
+    /// quanta a colocated HPC neighbour owns (the service resumes at the
+    /// hand-back and re-warms what the neighbour trashed). Returns the
+    /// completion instant; `busy_until` advances to it.
     pub fn serve(&mut self, ready: Nanos, phase: &Phase, horizon: Nanos) -> Nanos {
         self.advance_noise_to(ready, horizon);
         let start = ready.max(self.busy_until);
-        let regime = self.regime();
         let mut clean = PollutionState::default();
-        let cost = self.timer.price(phase, regime, &mut clean, 1);
+        let cost = self.timer.price(phase, self.noise.regime(), &mut clean, 1);
         // Per-request DRAM/thermal jitter, same sigma as the machine
         // executor, from this node's dedicated stream.
-        let jitter = 1.0 + self.service_rng.next_gaussian() * self.cfg.options.jitter_sigma;
-        let mut remaining =
-            Nanos((cost.time.as_nanos() as f64 * jitter.max(0.5) * self.tax()) as u64)
-                + self.dispatch_overhead();
-        let mut now = start;
-        loop {
-            // A colocated HPC neighbor owning the core right now runs
-            // first; the service resumes at the quantum hand-back and
-            // pays re-warm for whatever the neighbor trashed.
-            if let Some((end, pollution)) = self.hpc_window_at(now) {
-                now = end;
-                remaining += rewarm_extra(&self.timer, regime, phase, pollution);
-                continue;
-            }
-            let next_noise = self.next_noise_at();
-            let next = next_noise.min(self.next_hpc_start_after(now));
-            if now
-                .checked_add(remaining)
-                .map(|e| e <= next)
-                .unwrap_or(true)
-            {
-                now += remaining;
-                break;
-            }
-            let advance = next.saturating_sub(now);
-            remaining = remaining.saturating_sub(advance);
-            now = now.max(next);
-            if next_noise <= next {
-                let (stolen, pollution) = self.fire_noise(horizon);
-                now += stolen;
-                remaining += rewarm_extra(&self.timer, regime, phase, pollution);
-            }
-            // An HPC-quantum boundary falls through: the next iteration's
-            // occupancy check jumps the window and charges the re-warm.
-        }
-        self.busy_until = now;
+        let work = self.noise.work(cost.time, &mut self.service_rng) + self.dispatch_overhead();
+        let sigma = self.cfg.options.jitter_sigma;
+        let mut hooks = NodeHooks {
+            backend: &mut self.backend,
+            crashed: self.crashed,
+            stats: &mut self.stats,
+            noise_hist: &mut self.noise_hist,
+            busy_until: &mut self.busy_until,
+            horizon,
+            hpc: self.hpc.as_mut().map(|h| (h, &self.timer, sigma)),
+        };
+        let span = (start, work);
+        let run = run_phase(
+            &mut self.noise,
+            &mut self.cursor,
+            &self.timer,
+            phase,
+            span,
+            &mut hooks,
+        );
+        self.busy_until = run.end;
         self.stats.served += 1;
-        self.pending_done.push_back(now);
-        now
+        self.pending_done.push_back(run.end);
+        run.end
     }
 
     /// Move an HPC neighbor onto this node's service core. The
@@ -642,27 +502,6 @@ impl Node {
 
     pub fn has_hpc(&self) -> bool {
         self.hpc.is_some()
-    }
-
-    /// If a colocated neighbor owns the core at `t`, the instant it
-    /// hands back plus the pollution it leaves behind.
-    fn hpc_window_at(&mut self, t: Nanos) -> Option<(Nanos, PollutionState)> {
-        let sigma = self.cfg.options.jitter_sigma;
-        let h = self.hpc.as_mut()?;
-        let k = (t.as_nanos() / HPC_QUANTUM_PERIOD.as_nanos()) as usize;
-        h.ensure(&self.timer, sigma, k);
-        let (end, pollution) = h.quanta[k];
-        (t < end).then_some((end, pollution))
-    }
-
-    /// Start of the next HPC quantum strictly after `t` (`Nanos::MAX`
-    /// when no neighbor is colocated).
-    fn next_hpc_start_after(&self, t: Nanos) -> Nanos {
-        if self.hpc.is_none() {
-            return Nanos::MAX;
-        }
-        let k = t.as_nanos() / HPC_QUANTUM_PERIOD.as_nanos();
-        HPC_QUANTUM_PERIOD.scaled(k + 1)
     }
 
     /// Total neighbor occupancy over quanta starting below `horizon`:
@@ -822,24 +661,12 @@ impl Node {
                 spm,
                 port,
                 svc_vm,
-                guest,
+                vtimer,
             } => {
                 debug_assert!(spm.vm_is_crashed(*svc_vm));
                 spm.restart_vm(*svc_vm).expect("svc restart");
-                spm.hypercall(
-                    VmId::PRIMARY,
-                    0,
-                    0,
-                    HfCall::VcpuRun {
-                        vm: *svc_vm,
-                        vcpu: 0,
-                    },
-                    now,
-                )
-                .expect("re-dispatch after restart");
+                spm_dispatch(spm, port, 0, *vtimer, now);
                 self.stats.vcpu_runs += 1;
-                port.init_timer(spm, 0, 0, guest.tick_period, now)
-                    .expect("vtimer re-init");
             }
             Backend::Theseus(rt) => {
                 // Cooperative unwind + relink of the dead cell; no image
@@ -882,6 +709,63 @@ impl Node {
             Backend::Theseus(rt) => Some(rt),
             Backend::Spm { .. } => None,
         }
+    }
+}
+
+/// What a noise event does to a node beyond the kernel's accounting:
+/// the SPM is driven at the event's own time (a crashed secondary is not
+/// re-dispatched, and the tick still steals its time, so the noise
+/// profile is crash-invariant), `busy_until` moves past it, and events
+/// below `horizon` enter the noise histogram. While serving, a colocated
+/// HPC neighbour's quanta own the core; a quantum boundary loses a tie
+/// with a noise event.
+struct NodeHooks<'a> {
+    backend: &'a mut Backend,
+    crashed: bool,
+    stats: &'a mut NodeStats,
+    noise_hist: &'a mut LogHistogram,
+    busy_until: &'a mut Nanos,
+    horizon: Nanos,
+    hpc: Option<(&'a mut HpcNeighbor, &'a CoreTimer, f64)>,
+}
+
+impl Hooks for NodeHooks<'_> {
+    fn noise(&mut self, f: &Fired, _now: Nanos) {
+        match f.source {
+            Source::HostTick => self.stats.host_ticks += 1,
+            Source::GuestTick => self.stats.guest_ticks += 1,
+            _ => self.stats.background_events += 1,
+        }
+        // On Theseus the tick is a plain EL1 handler: no SPM state
+        // machine to drive, just the handler's own cost.
+        if let Backend::Spm {
+            spm,
+            port,
+            svc_vm,
+            vtimer,
+        } = self.backend
+        {
+            let guest = Some((&*port, *vtimer));
+            if spm_tick(spm, guest, (0, *svc_vm, 0), f.source, f.at, !self.crashed) {
+                self.stats.vcpu_runs += 1;
+            }
+        }
+        if f.at < self.horizon {
+            self.noise_hist.record(f.stolen.as_nanos() as f64);
+        }
+        self.stats.stolen += f.stolen;
+        *self.busy_until = (*self.busy_until).max(f.at) + f.stolen;
+    }
+
+    fn occupied(&mut self, now: Nanos) -> Option<(Nanos, PollutionState)> {
+        let (h, timer, sigma) = self.hpc.as_mut()?;
+        h.window_at(timer, *sigma, now)
+    }
+
+    /// Start of the next HPC quantum strictly after `now`.
+    fn next_own(&mut self, now: Nanos) -> Nanos {
+        let next = HPC_QUANTUM_PERIOD.scaled(now.as_nanos() / HPC_QUANTUM_PERIOD.as_nanos() + 1);
+        self.hpc.as_ref().map_or(Nanos::MAX, |_| next)
     }
 }
 

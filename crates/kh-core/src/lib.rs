@@ -24,6 +24,7 @@ pub mod config;
 pub mod experiment;
 pub mod figures;
 pub mod machine;
+pub mod noise;
 pub mod parallel;
 pub mod pool;
 pub mod victim;

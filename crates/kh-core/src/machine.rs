@@ -10,117 +10,22 @@
 //! inflicts on the interrupted benchmark.
 
 use crate::config::{MachineConfig, StackKind};
+use crate::noise::{
+    run_phase, spm_dispatch, spm_tick, Fired, Hooks, NoiseCursor, NoiseModel, Quirks, Source,
+};
 use crate::victim::{VictimReport, VictimVm};
-use kh_arch::cpu::{AccessPattern, CoreTimer, Phase, PollutionState, TranslationRegime};
-use kh_arch::el::ExceptionLevel;
+use kh_arch::cpu::{AccessPattern, CoreTimer, Phase, PollutionState};
 use kh_arch::mmu::{AccessKind, MemAttr, PagePerms, Stage1Table, BLOCK_SIZE, PAGE_SIZE};
-use kh_arch::noise::OsTimingModel;
 use kh_arch::walkcache::WalkCacheStats;
-use kh_hafnium::hypercall::HfCall;
 use kh_hafnium::manifest::{BootManifest, VmKind, VmManifest};
 use kh_hafnium::spm::{Spm, SpmConfig};
 use kh_hafnium::vm::VmId;
-use kh_kitten::profile::KittenProfile;
 use kh_kitten::secondary::SecondaryPort;
-use kh_linux::profile::LinuxProfile;
 use kh_sim::{FaultPlan, FaultStats, Nanos, SimRng, TraceCategory, TraceRecorder};
-use kh_theseus::{TheseusProfile, TheseusRuntime, SAFETY_TAX};
+use kh_theseus::TheseusRuntime;
 use kh_workloads::{Workload, WorkloadOutput};
 
 const MB: u64 = 1 << 20;
-/// Cache/TLB damage a co-tenant VM's slice does: a whole competing
-/// working set ran, so most of the benchmark's cached state is gone.
-const CO_TENANT_POLLUTION: PollutionState = PollutionState {
-    tlb_evicted: 400,
-    cache_lines_evicted: 6000,
-};
-/// Extra TLB/cache damage of a full VM switch (beyond the tick handler's
-/// own footprint): VMID tagging avoids full flushes, but the primary's
-/// working set still displaces guest entries.
-const VM_SWITCH_POLLUTION: PollutionState = PollutionState {
-    tlb_evicted: 12,
-    cache_lines_evicted: 96,
-};
-
-/// Nanoseconds to switch one VM's EL1 context at EL2.
-pub fn vm_ctx_switch(platform: &kh_arch::platform::Platform) -> Nanos {
-    platform
-        .core_freq
-        .cycles_to_nanos(platform.transitions.vm_context_switch_cycles)
-}
-
-fn round_trip_p(
-    platform: &kh_arch::platform::Platform,
-    lo: ExceptionLevel,
-    hi: ExceptionLevel,
-) -> Nanos {
-    platform.transitions.round_trip(lo, hi, platform.core_freq)
-}
-
-/// CPU time one host tick steals from a benchmark under `cfg`.
-///
-/// Virtualized: the secondary exits to EL2, Hafnium switches to the
-/// primary's VCPU context, the primary's tick handler runs, then the
-/// primary re-runs the secondary — two VM context switches and two
-/// EL1<->EL2 round trips around the handler. Native: an EL0->EL1 trap
-/// round trip around the handler.
-pub fn host_tick_steal(cfg: &MachineConfig, host: &dyn OsTimingModel) -> Nanos {
-    if cfg.stack.is_virtualized() {
-        round_trip_p(&cfg.platform, ExceptionLevel::El1, ExceptionLevel::El2).scaled(2)
-            + vm_ctx_switch(&cfg.platform).scaled(2)
-            + host.tick_cost()
-    } else if cfg.stack == StackKind::NativeTheseus {
-        // Single privilege level: the timer IRQ is a same-level vector
-        // dispatch; there is no EL0<->EL1 round trip to pay around the
-        // handler.
-        host.tick_cost()
-    } else {
-        round_trip_p(&cfg.platform, ExceptionLevel::El0, ExceptionLevel::El1) + host.tick_cost()
-    }
-}
-
-/// CPU time one guest (secondary-Kitten) tick steals: the virtual timer
-/// fires, Hafnium injects it through the para-virtual interface, and the
-/// guest handler's `interrupt_get` hypercall adds another EL1->EL2 round
-/// trip.
-pub fn guest_tick_steal(cfg: &MachineConfig, guest: &KittenProfile) -> Nanos {
-    round_trip_p(&cfg.platform, ExceptionLevel::El1, ExceptionLevel::El2).scaled(2)
-        + guest.tick_cost
-        + cfg
-            .platform
-            .core_freq
-            .cycles_to_nanos(cfg.platform.gic.ack_eoi_cycles())
-}
-
-/// CPU time a background burst steals (Linux primary only): the
-/// secondary is exited, CFS context-switches to the kthread, the burst
-/// runs, and everything unwinds.
-pub fn background_steal(cfg: &MachineConfig, host: &dyn OsTimingModel, burst: Nanos) -> Nanos {
-    round_trip_p(&cfg.platform, ExceptionLevel::El1, ExceptionLevel::El2).scaled(2)
-        + vm_ctx_switch(&cfg.platform).scaled(2)
-        + host.ctx_switch_cost().scaled(2)
-        + burst
-}
-
-/// Extra time a phase needs after an interruption polluted its
-/// cache/TLB state.
-pub fn rewarm_extra(
-    timer: &CoreTimer,
-    regime: TranslationRegime,
-    phase: &Phase,
-    pollution: PollutionState,
-) -> Nanos {
-    let mut p = pollution;
-    let empty = Phase {
-        instructions: 0,
-        mem_refs: 0,
-        flops: 0,
-        footprint: phase.footprint,
-        dram_bytes: 0,
-        pattern: phase.pattern,
-    };
-    timer.price(&empty, regime, &mut p, 1).time
-}
 
 /// Everything a run produced, beyond the workload's own output.
 #[derive(Debug, Clone)]
@@ -161,11 +66,9 @@ pub struct RunReport {
 pub struct Machine {
     cfg: MachineConfig,
     timer: CoreTimer,
-    host: Box<dyn OsTimingModel>,
-    guest: Option<KittenProfile>,
+    noise: NoiseModel,
     spm: Option<Spm>,
     port: Option<SecondaryPort>,
-    regime: TranslationRegime,
     rng: SimRng,
     workload_vm: VmId,
     trace: TraceRecorder,
@@ -203,23 +106,8 @@ impl Machine {
         }
         let timer = CoreTimer::new(timing_platform);
         let mut rng = SimRng::new(cfg.seed ^ 0x6B68_636F_7265);
-        let host: Box<dyn OsTimingModel> = match cfg.stack {
-            StackKind::NativeKitten | StackKind::HafniumKitten => {
-                Box::new(match cfg.options.host_tick_hz {
-                    Some(hz) => KittenProfile::with_tick_hz(hz),
-                    None => KittenProfile::default(),
-                })
-            }
-            StackKind::HafniumLinux => Box::new(match cfg.options.host_tick_hz {
-                Some(hz) => LinuxProfile::with_hz(rng.next_u64(), cfg.platform.num_cores, hz),
-                None => LinuxProfile::new(rng.next_u64(), cfg.platform.num_cores),
-            }),
-            StackKind::NativeTheseus => Box::new(match cfg.options.host_tick_hz {
-                Some(hz) => TheseusProfile::with_tick_hz(hz),
-                None => TheseusProfile::default(),
-            }),
-        };
-        let (spm, port, guest, regime, workload_vm) = if cfg.stack.is_virtualized() {
+        let noise = NoiseModel::new(&cfg, cfg.platform.num_cores, &mut rng, Quirks::MACHINE);
+        let (spm, port, workload_vm) = if cfg.stack.is_virtualized() {
             let mut spm_cfg = SpmConfig::default_for(cfg.platform);
             spm_cfg.routing = cfg.options.routing;
             spm_cfg.require_signed_images = cfg.options.verify_images;
@@ -241,15 +129,9 @@ impl Machine {
             let workload_vm = VmId(2);
             let port = SecondaryPort::new(workload_vm);
             port.boot_probe().expect("secondary port has workarounds");
-            (
-                Some(spm),
-                Some(port),
-                Some(KittenProfile::with_tick_hz(cfg.options.guest_tick_hz)),
-                TranslationRegime::TwoStage,
-                workload_vm,
-            )
+            (Some(spm), Some(port), workload_vm)
         } else {
-            (None, None, None, TranslationRegime::Stage1Only, VmId(0))
+            (None, None, VmId(0))
         };
         let s1_replay = (cfg.options.model_translation && cfg.stack.is_virtualized())
             .then(|| Stage1Table::new(1));
@@ -257,11 +139,9 @@ impl Machine {
         Machine {
             cfg,
             timer,
-            host,
-            guest,
+            noise,
             spm,
             port,
-            regime,
             rng,
             workload_vm,
             trace: TraceRecorder::disabled(),
@@ -306,30 +186,6 @@ impl Machine {
     /// The victim's degradation report, if a plan was armed.
     pub fn victim_report(&self) -> Option<&VictimReport> {
         self.victim.as_ref().map(|v| &v.report)
-    }
-
-    /// Drive every victim-side happening (scheduled injections and
-    /// heartbeats) due at or before `boundary`, in time order. All of it
-    /// runs on the victim's core: the benchmark's timeline on core 0 is
-    /// untouched, which is exactly the isolation property under test.
-    fn drive_faults(&mut self, boundary: Nanos) {
-        let (Some(victim), Some(spm)) = (self.victim.as_mut(), self.spm.as_mut()) else {
-            return;
-        };
-        loop {
-            let next_fault = self.faults.next_scheduled_at().unwrap_or(Nanos::MAX);
-            let next_beat = victim.next_beat;
-            if next_fault > boundary && next_beat > boundary {
-                return;
-            }
-            if next_fault <= next_beat {
-                for ev in self.faults.take_due(next_fault) {
-                    victim.apply(ev, spm, &mut self.trace);
-                }
-            } else {
-                victim.beat(spm, &mut self.faults, &mut self.trace);
-            }
-        }
     }
 
     /// The SPM, for post-run inspection (virtualized stacks only).
@@ -402,27 +258,6 @@ impl Machine {
         &self.trace
     }
 
-    /// CPU time one host tick steals from the benchmark.
-    fn host_tick_steal(&self) -> Nanos {
-        host_tick_steal(&self.cfg, self.host.as_ref())
-    }
-
-    /// CPU time one guest (secondary-Kitten) tick steals.
-    fn guest_tick_steal(&self, guest: &KittenProfile) -> Nanos {
-        guest_tick_steal(&self.cfg, guest)
-    }
-
-    /// CPU time a background burst steals (Linux primary only).
-    fn background_steal(&self, burst: Nanos) -> Nanos {
-        background_steal(&self.cfg, self.host.as_ref(), burst)
-    }
-
-    /// Extra time the current phase needs after an interruption polluted
-    /// the caches/TLB.
-    fn rewarm_extra(&self, phase: &Phase, pollution: PollutionState) -> Nanos {
-        rewarm_extra(&self.timer, self.regime, phase, pollution)
-    }
-
     /// Run a workload to completion on core 0.
     pub fn run(&mut self, w: &mut dyn Workload) -> RunReport {
         let core = 0u16;
@@ -448,59 +283,24 @@ impl Machine {
 
         // Tick schedules start at a random phase offset so repeated
         // trials sample the tick/benchmark alignment space.
-        let host_period = self.host.tick_period();
-        let mut host_tick_at = Nanos(1 + self.rng.next_below(host_period.as_nanos().max(1)));
-        let guest_period = self.guest.as_ref().map(|g| g.tick_period);
-        let mut guest_tick_at = guest_period
-            .map(|p| Nanos(1 + self.rng.next_below(p.as_nanos().max(1))))
-            .unwrap_or(Nanos::MAX);
-        let mut background = self.host.next_background(core, now);
-        let co_tenant = self.cfg.options.co_tenant;
-        let mut co_tenant_at = co_tenant
-            .map(|c| Nanos(c.own_slice_ns.max(1)))
-            .unwrap_or(Nanos::MAX);
+        let mut cursor = NoiseCursor::start(&mut self.noise, core, &mut self.rng)
+            .with_co_tenant(self.cfg.options.co_tenant);
+        let guest_period = self.noise.guest_period();
 
         // Virtualized: the primary dispatches the benchmark VCPU, and
         // the guest arms its virtual timer.
-        if let (Some(spm), Some(port)) = (self.spm.as_mut(), self.port.as_mut()) {
-            spm.hypercall(
-                VmId::PRIMARY,
-                core,
-                core,
-                HfCall::VcpuRun {
-                    vm: self.workload_vm,
-                    vcpu: 0,
-                },
-                now,
-            )
-            .expect("initial dispatch");
+        if let (Some(spm), Some(port), Some(p)) = (self.spm.as_mut(), &self.port, guest_period) {
+            spm_dispatch(spm, port, core, p, now);
             report.vcpu_runs += 1;
-            if let Some(p) = guest_period {
-                port.init_timer(spm, 0, core, p, now).expect("vtimer init");
-            }
         }
 
         // Virtualized stacks take an unrecoverable stage-2 abort;
         // Theseus survives the same injection by unwinding and relinking
         // the faulted component (one-shot: `fault_at` is cleared after).
-        let mut fault_at = self
-            .cfg
-            .options
-            .inject_fault_at_ns
-            .filter(|_| self.cfg.stack.is_virtualized() || self.theseus.is_some())
-            .map(Nanos)
-            .unwrap_or(Nanos::MAX);
-
-        let jitter_sigma = self.cfg.options.jitter_sigma;
-        // Safe-language runtime tax on all service work (exactly 1.0 for
-        // every other stack, so their phase costs are bit-identical to
-        // the pre-Theseus model).
-        let tax = if self.theseus.is_some() {
-            1.0 + SAFETY_TAX
-        } else {
-            1.0
-        };
-        'run: while let Some(phase) = w.next_phase(now) {
+        let faultable = self.cfg.stack.is_virtualized() || self.theseus.is_some();
+        let fault_at = self.cfg.options.inject_fault_at_ns.filter(|_| faultable);
+        let mut fault_at = fault_at.map_or(Nanos::MAX, Nanos);
+        while let Some(phase) = w.next_phase(now) {
             let mut clean = PollutionState::default();
             // Walk-cache discount from the functional translation replay;
             // exactly 1.0 (the analytic full-cost model) when disabled.
@@ -509,194 +309,43 @@ impl Machine {
             } else {
                 1.0
             };
+            let regime = self.noise.regime();
             let cost =
                 self.timer
-                    .price_with_walk_factor(&phase, self.regime, &mut clean, 1, walk_factor);
+                    .price_with_walk_factor(&phase, regime, &mut clean, 1, walk_factor);
             // Per-phase timing jitter models DRAM refresh/thermal
             // variation: the source of run-to-run stdev.
-            let jitter = 1.0 + self.rng.next_gaussian() * jitter_sigma;
-            let mut remaining = Nanos((cost.time.as_nanos() as f64 * jitter.max(0.5) * tax) as u64);
-
-            loop {
-                let next_bg = background.as_ref().map(|e| e.at).unwrap_or(Nanos::MAX);
-                let next_event = host_tick_at
-                    .min(guest_tick_at)
-                    .min(next_bg)
-                    .min(co_tenant_at)
-                    .min(fault_at);
-                // Victim-side fault activity runs on its own core up to
-                // wherever the benchmark is about to advance; it never
-                // enters core 0's event competition above.
-                let horizon = now
-                    .checked_add(remaining)
-                    .unwrap_or(Nanos::MAX)
-                    .min(next_event);
-                self.drive_faults(horizon);
-                if next_event == fault_at
-                    && now
-                        .checked_add(remaining)
-                        .map(|end| end > fault_at)
-                        .unwrap_or(true)
-                {
-                    if let Some(rt) = self.theseus.as_mut() {
-                        // The service component panics mid-phase. The
-                        // runtime detects the unwind, drops the cell's
-                        // heap, and relinks a fresh instance; the
-                        // benchmark resumes where it stopped.
-                        let advance = fault_at.saturating_sub(now);
-                        remaining = remaining.saturating_sub(advance);
-                        now = now.max(fault_at);
-                        let stolen = rt.crash_svc() + rt.restart_svc();
-                        self.trace.emit(
-                            now,
-                            core,
-                            TraceCategory::ContextSwitch,
-                            stolen,
-                            "component-restart",
-                        );
-                        report.interruptions += 1;
-                        now += stolen;
-                        report.stolen += stolen;
-                        fault_at = Nanos::MAX;
-                        continue;
-                    }
-                    // The benchmark VM takes an unrecoverable stage-2
-                    // abort mid-phase: Hafnium reports `Aborted` to the
-                    // primary and the VCPU never runs again.
-                    now = now.max(fault_at);
-                    if let Some(spm) = self.spm.as_mut() {
-                        use kh_hafnium::vm::{VcpuRunExit, VcpuState};
-                        spm.finish_run(core, VcpuRunExit::Aborted);
-                        let state = spm
-                            .vm(self.workload_vm)
-                            .and_then(|vm| vm.vcpu(0))
-                            .map(|v| v.state);
-                        debug_assert!(matches!(state, Some(VcpuState::Aborted)));
-                    }
-                    report.aborted = true;
-                    break 'run;
-                }
-                if now
-                    .checked_add(remaining)
-                    .map(|end| end <= next_event)
-                    .unwrap_or(true)
-                {
-                    now += remaining;
-                    break;
-                }
-                // An event that fell due while a previous interruption
-                // was being serviced fires immediately (advance = 0).
-                let advance = next_event.saturating_sub(now);
-                remaining = remaining.saturating_sub(advance);
-                now = now.max(next_event);
-                report.interruptions += 1;
-
-                let (stolen, pollution, category, label) = if next_event == host_tick_at {
-                    report.host_ticks += 1;
-                    host_tick_at += host_period;
-                    // Drive the real hypervisor state machine: the
-                    // physical timer IRQ preempts the secondary; after
-                    // handling, the primary re-dispatches it.
-                    if let Some(spm) = self.spm.as_mut() {
-                        spm.preempt(core);
-                        spm.hypercall(
-                            VmId::PRIMARY,
-                            core,
-                            core,
-                            HfCall::VcpuRun {
-                                vm: self.workload_vm,
-                                vcpu: 0,
-                            },
-                            now,
-                        )
-                        .expect("re-dispatch after tick");
-                        report.vcpu_runs += 1;
-                    }
-                    let mut pol = self.host.tick_pollution();
-                    if self.cfg.stack.is_virtualized() {
-                        pol.add(VM_SWITCH_POLLUTION);
-                    }
-                    (
-                        self.host_tick_steal(),
-                        pol,
-                        TraceCategory::TimerTick,
-                        "host-tick",
-                    )
-                } else if next_event == guest_tick_at {
-                    report.guest_ticks += 1;
-                    let period = guest_period.expect("guest tick implies guest");
-                    guest_tick_at += period;
-                    // Re-arm the virtual timer and drain the para-virtual
-                    // interrupt through the real SPM interfaces.
-                    if let (Some(spm), Some(port)) = (self.spm.as_mut(), self.port.as_ref()) {
-                        let _ = spm.hypercall(
-                            VmId::PRIMARY,
-                            core,
-                            core,
-                            HfCall::InterruptInject {
-                                vm: self.workload_vm,
-                                vcpu: 0,
-                                intid: port.vtimer_intid,
-                            },
-                            now,
-                        );
-                        let _ = port.next_interrupt(spm, 0, core, now);
-                        let _ = spm.hypercall(
-                            self.workload_vm,
-                            0,
-                            core,
-                            HfCall::ArmVtimer {
-                                delay_ns: period.as_nanos(),
-                            },
-                            now,
-                        );
-                    }
-                    let guest = self.guest.as_ref().expect("guest profile");
-                    (
-                        self.guest_tick_steal(guest),
-                        guest.tick_pollution,
-                        TraceCategory::TimerTick,
-                        "guest-tick",
-                    )
-                } else if next_event == co_tenant_at {
-                    let c = co_tenant.expect("co-tenant event implies config");
-                    report.co_tenant_slices += 1;
-                    // The co-tenant VM runs its slice: a full VM switch
-                    // out and back, plus the slice itself.
-                    let stolen = if self.cfg.stack.is_virtualized() {
-                        self.background_steal(Nanos(c.other_slice_ns))
-                    } else {
-                        Nanos(c.other_slice_ns) + self.host.ctx_switch_cost().scaled(2)
-                    };
-                    co_tenant_at = now + stolen + Nanos(c.own_slice_ns.max(1));
-                    (
-                        stolen,
-                        CO_TENANT_POLLUTION,
-                        TraceCategory::ContextSwitch,
-                        "co-tenant",
-                    )
-                } else {
-                    let ev = background.take().expect("bg event");
-                    report.background_events += 1;
-                    let stolen = if self.cfg.stack.is_virtualized() {
-                        self.background_steal(ev.duration)
-                    } else {
-                        ev.duration + self.host.ctx_switch_cost().scaled(2)
-                    };
-                    let res = (
-                        stolen,
-                        ev.pollution,
-                        TraceCategory::BackgroundTask,
-                        ev.label,
-                    );
-                    background = self.host.next_background(core, now);
-                    res
-                };
-
-                self.trace.emit(now, core, category, stolen, label);
-                now += stolen;
-                report.stolen += stolen;
-                remaining += self.rewarm_extra(&phase, pollution);
+            let work = self.noise.work(cost.time, &mut self.rng);
+            let mut hooks = MachineHooks {
+                spm: self.spm.as_mut(),
+                guest: self.port.as_ref().zip(guest_period),
+                vm: self.workload_vm,
+                victim: self.victim.as_mut(),
+                faults: &mut self.faults,
+                trace: &mut self.trace,
+                theseus: self.theseus.as_mut(),
+                fault_at: &mut fault_at,
+                report: &mut report,
+            };
+            let span = (now, work);
+            let run = run_phase(
+                &mut self.noise,
+                &mut cursor,
+                &self.timer,
+                &phase,
+                span,
+                &mut hooks,
+            );
+            now = run.end;
+            report.host_ticks += run.noise.events(Source::HostTick);
+            report.guest_ticks += run.noise.events(Source::GuestTick);
+            report.co_tenant_slices += run.noise.events(Source::CoTenant);
+            report.background_events += run.noise.events(Source::Background);
+            report.interruptions += run.noise.total_events();
+            report.stolen += run.noise.total_stolen();
+            if run.stopped {
+                report.aborted = true;
+                break;
             }
             w.phase_complete(now, &cost);
         }
@@ -720,6 +369,92 @@ impl Machine {
             rt.audit().expect("component isolation preserved");
         }
         report
+    }
+}
+
+/// What a machine run adds to the kernel's loop on core 0: the SPM
+/// driven through every tick, the trace, the victim's faults run on
+/// their own core up to each horizon, and the one-shot injected fault
+/// (a Theseus component restart or a stage-2 abort), which wins a tie
+/// with a noise event.
+struct MachineHooks<'a> {
+    spm: Option<&'a mut Spm>,
+    guest: Option<(&'a SecondaryPort, Nanos)>,
+    vm: VmId,
+    victim: Option<&'a mut VictimVm>,
+    faults: &'a mut FaultPlan,
+    trace: &'a mut TraceRecorder,
+    theseus: Option<&'a mut TheseusRuntime>,
+    fault_at: &'a mut Nanos,
+    report: &'a mut RunReport,
+}
+
+impl Hooks for MachineHooks<'_> {
+    const OWN_FIRST: bool = true;
+
+    fn noise(&mut self, f: &Fired, now: Nanos) {
+        if let Some(spm) = self.spm.as_deref_mut() {
+            if spm_tick(spm, self.guest, (0, self.vm, 0), f.source, now, true) {
+                self.report.vcpu_runs += 1;
+            }
+        }
+        self.trace
+            .emit(now, 0, f.source.category(), f.stolen, f.label);
+    }
+
+    /// Drive every victim-side happening (scheduled injections and
+    /// heartbeats) due at or before `boundary`, in time order. All of it
+    /// runs on the victim's core: the benchmark's timeline on core 0 is
+    /// untouched, which is exactly the isolation property under test.
+    fn horizon(&mut self, boundary: Nanos) {
+        let (Some(victim), Some(spm)) = (self.victim.as_deref_mut(), self.spm.as_deref_mut())
+        else {
+            return;
+        };
+        loop {
+            let next_fault = self.faults.next_scheduled_at().unwrap_or(Nanos::MAX);
+            let next_beat = victim.next_beat;
+            if next_fault > boundary && next_beat > boundary {
+                return;
+            }
+            if next_fault <= next_beat {
+                for ev in self.faults.take_due(next_fault) {
+                    victim.apply(ev, spm, self.trace);
+                }
+            } else {
+                victim.beat(spm, self.faults, self.trace);
+            }
+        }
+    }
+
+    fn next_own(&mut self, _now: Nanos) -> Nanos {
+        *self.fault_at
+    }
+
+    fn own(&mut self, now: Nanos) -> Option<Nanos> {
+        *self.fault_at = Nanos::MAX;
+        if let Some(rt) = self.theseus.as_deref_mut() {
+            // The service component panics mid-phase. The runtime
+            // detects the unwind, drops the cell's heap, and relinks a
+            // fresh instance; the benchmark resumes where it stopped.
+            let stolen = rt.crash_svc() + rt.restart_svc();
+            let category = TraceCategory::ContextSwitch;
+            self.trace
+                .emit(now, 0, category, stolen, "component-restart");
+            self.report.interruptions += 1;
+            self.report.stolen += stolen;
+            return Some(stolen);
+        }
+        // The benchmark VM takes an unrecoverable stage-2 abort
+        // mid-phase: Hafnium reports `Aborted` to the primary and the
+        // VCPU never runs again.
+        if let Some(spm) = self.spm.as_deref_mut() {
+            use kh_hafnium::vm::{VcpuRunExit, VcpuState};
+            spm.finish_run(0, VcpuRunExit::Aborted);
+            let state = spm.vm(self.vm).and_then(|vm| vm.vcpu(0)).map(|v| v.state);
+            debug_assert!(matches!(state, Some(VcpuState::Aborted)));
+        }
+        None
     }
 }
 

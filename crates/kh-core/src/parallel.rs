@@ -15,19 +15,19 @@
 //!   *every* core. This is the amplification mechanism behind the
 //!   classic "OS noise at scale" results and behind NPB LU's special
 //!   sensitivity to FWK noise.
+//!
+//! Each core's phases run through the noise-interleaving kernel the
+//! single-core executor uses ([`crate::noise::run_phase`]), one
+//! [`crate::noise::NoiseCursor`] per core over one shared host model.
 
 use crate::config::{MachineConfig, StackKind};
-use crate::machine::{background_steal, guest_tick_steal, host_tick_steal, rewarm_extra};
-use kh_arch::cpu::{CoreTimer, Phase, PollutionState, TranslationRegime};
-use kh_arch::noise::{NoiseEvent, OsTimingModel};
+use crate::noise::{run_phase, spm_tick, Fired, NoiseCursor, NoiseModel, Quirks};
+use kh_arch::cpu::{CoreTimer, Phase, PhaseCost, PollutionState};
 use kh_hafnium::hypercall::HfCall;
 use kh_hafnium::manifest::{BootManifest, VmKind, VmManifest};
 use kh_hafnium::spm::{Spm, SpmConfig};
 use kh_hafnium::vm::VmId;
-use kh_kitten::profile::KittenProfile;
-use kh_linux::profile::LinuxProfile;
 use kh_sim::{Nanos, SimRng};
-use kh_theseus::{TheseusProfile, SAFETY_TAX};
 use kh_workloads::{Workload, WorkloadOutput};
 
 const MB: u64 = 1 << 20;
@@ -80,9 +80,7 @@ impl ParallelReport {
 
 struct CoreCtx {
     now: Nanos,
-    host_tick_at: Nanos,
-    guest_tick_at: Nanos,
-    background: Option<NoiseEvent>,
+    cursor: NoiseCursor,
     jitter_rng: SimRng,
     stats: CoreStats,
     done: bool,
@@ -102,10 +100,8 @@ pub enum Tenancy {
 pub struct ParallelMachine {
     cfg: MachineConfig,
     timer: CoreTimer,
-    host: Box<dyn OsTimingModel>,
-    guest: Option<KittenProfile>,
+    noise: NoiseModel,
     spm: Option<Spm>,
-    regime: TranslationRegime,
     /// (vm, vcpu) the thread on core i drives.
     placements: Vec<(VmId, u16)>,
 }
@@ -122,27 +118,12 @@ impl ParallelMachine {
         assert!(threads >= 1 && threads <= cfg.platform.num_cores);
         let timer = CoreTimer::new(cfg.platform);
         let mut rng = SimRng::new(cfg.seed ^ 0x7061_7261);
-        let host: Box<dyn OsTimingModel> = match cfg.stack {
-            StackKind::NativeKitten | StackKind::HafniumKitten => {
-                Box::new(match cfg.options.host_tick_hz {
-                    Some(hz) => KittenProfile::with_tick_hz(hz),
-                    None => KittenProfile::default(),
-                })
-            }
-            StackKind::HafniumLinux => Box::new(match cfg.options.host_tick_hz {
-                Some(hz) => LinuxProfile::with_hz(rng.next_u64(), cfg.platform.num_cores, hz),
-                None => LinuxProfile::new(rng.next_u64(), cfg.platform.num_cores),
-            }),
-            StackKind::NativeTheseus => Box::new(match cfg.options.host_tick_hz {
-                Some(hz) => TheseusProfile::with_tick_hz(hz),
-                None => TheseusProfile::default(),
-            }),
-        };
+        let noise = NoiseModel::new(&cfg, cfg.platform.num_cores, &mut rng, Quirks::PARALLEL);
         let placements: Vec<(VmId, u16)> = match tenancy {
             Tenancy::SingleVm => (0..threads).map(|c| (VmId(2), c)).collect(),
             Tenancy::VmPerThread => (0..threads).map(|c| (VmId(2 + c), 0)).collect(),
         };
-        let (spm, guest, regime) = if cfg.stack.is_virtualized() {
+        let spm = cfg.stack.is_virtualized().then(|| {
             let spm_cfg = SpmConfig::default_for(cfg.platform);
             let primary_name = match cfg.stack {
                 StackKind::HafniumKitten => "kitten-primary",
@@ -187,21 +168,13 @@ impl ParallelMachine {
                 )
                 .expect("initial parallel dispatch");
             }
-            (
-                Some(spm),
-                Some(KittenProfile::with_tick_hz(cfg.options.guest_tick_hz)),
-                TranslationRegime::TwoStage,
-            )
-        } else {
-            (None, None, TranslationRegime::Stage1Only)
-        };
+            spm
+        });
         ParallelMachine {
             cfg,
             timer,
-            host,
-            guest,
+            noise,
             spm,
-            regime,
             placements,
         }
     }
@@ -210,129 +183,34 @@ impl ParallelMachine {
         self.spm.as_ref()
     }
 
-    fn make_ctx(&mut self, core: u16, rng: &mut SimRng) -> CoreCtx {
-        let host_period = self.host.tick_period();
-        let guest_tick_at = self
-            .guest
-            .as_ref()
-            .map(|g| Nanos(1 + rng.next_below(g.tick_period.as_nanos().max(1))))
-            .unwrap_or(Nanos::MAX);
-        CoreCtx {
-            now: Nanos::ZERO,
-            host_tick_at: Nanos(1 + rng.next_below(host_period.as_nanos().max(1))),
-            guest_tick_at,
-            background: self.host.next_background(core, Nanos::ZERO),
-            jitter_rng: rng.split(core as u64 + 100),
-            stats: CoreStats::default(),
-            done: false,
-        }
-    }
-
     /// Execute one phase on one core starting at `ctx.now`; returns the
-    /// completion time. Mirrors the single-core executor's inner loop.
-    fn advance_phase(
-        &mut self,
-        core: u16,
-        ctx: &mut CoreCtx,
-        phase: &Phase,
-        streams: u32,
-    ) -> Nanos {
+    /// completion time. A host tick preempts and re-dispatches the
+    /// core's VCPU; guest ticks steal their time without driving the SPM.
+    fn advance(&mut self, core: u16, ctx: &mut CoreCtx, phase: &Phase, streams: u32) -> Nanos {
         let mut clean = PollutionState::default();
-        let cost = self
-            .timer
-            .price(phase, self.regime, &mut clean, streams.max(1));
-        let jitter = 1.0 + ctx.jitter_rng.next_gaussian() * self.cfg.options.jitter_sigma;
-        // Safe-language runtime tax (exactly 1.0 for every other stack).
-        let tax = if self.cfg.stack == StackKind::NativeTheseus {
-            1.0 + SAFETY_TAX
-        } else {
-            1.0
+        let regime = self.noise.regime();
+        let cost = self.timer.price(phase, regime, &mut clean, streams.max(1));
+        let work = self.noise.work(cost.time, &mut ctx.jitter_rng);
+        let (vm, vcpu) = self.placements[core as usize];
+        let spm = &mut self.spm;
+        let mut tick = |f: &Fired, now: Nanos| {
+            if let Some(spm) = spm.as_mut() {
+                spm_tick(spm, None, (core, vm, vcpu), f.source, now, true);
+            }
         };
-        let mut remaining = Nanos((cost.time.as_nanos() as f64 * jitter.max(0.5) * tax) as u64);
-        let host_period = self.host.tick_period();
-        let guest_period = self.guest.as_ref().map(|g| g.tick_period);
-
-        loop {
-            let next_bg = ctx.background.as_ref().map(|e| e.at).unwrap_or(Nanos::MAX);
-            let next_event = ctx.host_tick_at.min(ctx.guest_tick_at).min(next_bg);
-            if ctx
-                .now
-                .checked_add(remaining)
-                .map(|end| end <= next_event)
-                .unwrap_or(true)
-            {
-                ctx.now += remaining;
-                break;
-            }
-            let advance = next_event.saturating_sub(ctx.now);
-            remaining = remaining.saturating_sub(advance);
-            ctx.now = ctx.now.max(next_event);
-            ctx.stats.interruptions += 1;
-
-            let (stolen, pollution) = if next_event == ctx.host_tick_at {
-                ctx.host_tick_at += host_period;
-                let (vm, vcpu) = self.placements[core as usize];
-                if let Some(spm) = self.spm.as_mut() {
-                    spm.preempt(core);
-                    spm.hypercall(
-                        VmId::PRIMARY,
-                        core,
-                        core,
-                        HfCall::VcpuRun { vm, vcpu },
-                        ctx.now,
-                    )
-                    .expect("parallel re-dispatch");
-                }
-                let mut pol = self.host.tick_pollution();
-                if self.cfg.stack.is_virtualized() {
-                    pol.add(PollutionState {
-                        tlb_evicted: 12,
-                        cache_lines_evicted: 96,
-                    });
-                }
-                (host_tick_steal(&self.cfg, self.host.as_ref()), pol)
-            } else if next_event == ctx.guest_tick_at {
-                let period = guest_period.expect("guest tick implies guest");
-                ctx.guest_tick_at += period;
-                let guest = self.guest.as_ref().expect("guest profile");
-                (guest_tick_steal(&self.cfg, guest), guest.tick_pollution)
-            } else {
-                let ev = ctx.background.take().expect("bg event");
-                let stolen = if self.cfg.stack.is_virtualized() {
-                    background_steal(&self.cfg, self.host.as_ref(), ev.duration)
-                } else {
-                    ev.duration + self.host.ctx_switch_cost().scaled(2)
-                };
-                let res = (stolen, ev.pollution);
-                ctx.background = self.host.next_background(core, ctx.now);
-                res
-            };
-
-            ctx.now += stolen;
-            ctx.stats.stolen += stolen;
-            remaining += rewarm_extra(&self.timer, self.regime, phase, pollution);
-        }
+        let span = (ctx.now, work);
+        let run = run_phase(
+            &mut self.noise,
+            &mut ctx.cursor,
+            &self.timer,
+            phase,
+            span,
+            &mut tick,
+        );
+        ctx.stats.interruptions += run.noise.total_events();
+        ctx.stats.stolen += run.noise.total_stolen();
+        ctx.now = run.end;
         ctx.now
-    }
-
-    /// Fast-forward a core's event schedules past `to` (idle waiting at
-    /// a barrier: interruptions during the wait cost the workload
-    /// nothing).
-    fn skip_to(&mut self, core: u16, ctx: &mut CoreCtx, to: Nanos) {
-        let host_period = self.host.tick_period();
-        while ctx.host_tick_at <= to {
-            ctx.host_tick_at += host_period;
-        }
-        if let Some(g) = self.guest.as_ref() {
-            let p = g.tick_period;
-            while ctx.guest_tick_at <= to {
-                ctx.guest_tick_at += p;
-            }
-        }
-        while ctx.background.as_ref().map(|e| e.at <= to).unwrap_or(false) {
-            ctx.background = self.host.next_background(core, to);
-        }
-        ctx.now = to;
     }
 
     /// Run the workloads (one per core) to completion.
@@ -347,9 +225,18 @@ impl ParallelMachine {
         let mut ctxs: Vec<CoreCtx> = (0..threads)
             .map(|c| {
                 let mut r = seed_rng.split(c as u64);
-                self.make_ctx(c, &mut r)
+                CoreCtx {
+                    now: Nanos::ZERO,
+                    cursor: NoiseCursor::start(&mut self.noise, c, &mut r),
+                    jitter_rng: r.split(c as u64 + 100),
+                    stats: CoreStats::default(),
+                    done: false,
+                }
             })
             .collect();
+        // Phases complete at each core's own time; the per-phase cost is
+        // not reported back.
+        let no_cost = PhaseCost::default();
         let mut barriers = 0u64;
 
         match barrier {
@@ -372,52 +259,19 @@ impl ParallelMachine {
                 let mut round_end = Nanos::ZERO;
                 let mut ends: Vec<(usize, Nanos)> = Vec::new();
                 for (i, phase) in &round {
-                    let core = *i as u16;
-                    let mut ctx = std::mem::replace(
-                        &mut ctxs[*i],
-                        CoreCtx {
-                            now: Nanos::ZERO,
-                            host_tick_at: Nanos::MAX,
-                            guest_tick_at: Nanos::MAX,
-                            background: None,
-                            jitter_rng: SimRng::new(0),
-                            stats: CoreStats::default(),
-                            done: false,
-                        },
-                    );
-                    let end = self.advance_phase(core, &mut ctx, phase, streams.max(1));
-                    ctxs[*i] = ctx;
+                    let end = self.advance(*i as u16, &mut ctxs[*i], phase, streams.max(1));
                     round_end = round_end.max(end);
                     ends.push((*i, end));
                 }
-                // Complete phases at each core's own time, then barrier.
+                // Complete phases at each core's own time, then barrier:
+                // interruptions during the wait cost the workload nothing.
                 for (i, end) in &ends {
-                    let cost = kh_arch::cpu::PhaseCost {
-                        cycles: 0,
-                        time: Nanos::ZERO,
-                        walk_cycles: 0,
-                        rewarm_cycles: 0,
-                        bandwidth_bound: false,
-                    };
-                    workloads[*i].phase_complete(*end, &cost);
+                    workloads[*i].phase_complete(*end, &no_cost);
                     ctxs[*i].stats.barrier_wait += round_end.saturating_sub(*end);
                 }
                 for (i, _) in &ends {
-                    let core = *i as u16;
-                    let mut ctx = std::mem::replace(
-                        &mut ctxs[*i],
-                        CoreCtx {
-                            now: Nanos::ZERO,
-                            host_tick_at: Nanos::MAX,
-                            guest_tick_at: Nanos::MAX,
-                            background: None,
-                            jitter_rng: SimRng::new(0),
-                            stats: CoreStats::default(),
-                            done: false,
-                        },
-                    );
-                    self.skip_to(core, &mut ctx, round_end);
-                    ctxs[*i] = ctx;
+                    ctxs[*i].cursor.skip_to(&mut self.noise, round_end);
+                    ctxs[*i].now = round_end;
                 }
                 barriers += 1;
             },
@@ -429,34 +283,9 @@ impl ParallelMachine {
                 let streams = threads as u32;
                 for i in 0..workloads.len() {
                     let core = i as u16;
-                    loop {
-                        let phase = {
-                            let ctx = &ctxs[i];
-                            workloads[i].next_phase(ctx.now)
-                        };
-                        let Some(phase) = phase else { break };
-                        let mut ctx = std::mem::replace(
-                            &mut ctxs[i],
-                            CoreCtx {
-                                now: Nanos::ZERO,
-                                host_tick_at: Nanos::MAX,
-                                guest_tick_at: Nanos::MAX,
-                                background: None,
-                                jitter_rng: SimRng::new(0),
-                                stats: CoreStats::default(),
-                                done: false,
-                            },
-                        );
-                        let end = self.advance_phase(core, &mut ctx, &phase, streams);
-                        ctxs[i] = ctx;
-                        let cost = kh_arch::cpu::PhaseCost {
-                            cycles: 0,
-                            time: Nanos::ZERO,
-                            walk_cycles: 0,
-                            rewarm_cycles: 0,
-                            bandwidth_bound: false,
-                        };
-                        workloads[i].phase_complete(end, &cost);
+                    while let Some(phase) = workloads[i].next_phase(ctxs[i].now) {
+                        let end = self.advance(core, &mut ctxs[i], &phase, streams);
+                        workloads[i].phase_complete(end, &no_cost);
                     }
                 }
             }

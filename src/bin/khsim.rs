@@ -93,7 +93,9 @@ OPTIONS:
                 x {{retries off/on}} matrix and print the sweep table
   --metastability
                 cluster: run the load x drop x {{off, static, adaptive}}
-                grid and print where the static layer tips into collapse
+                grid and print where the static layer tips into collapse.
+                The three sweeps run one at a time and take only --nodes,
+                --seed, --quick and --jobs
   --attest      cluster: run the remote-attestation handshake before
                 traffic; nodes failing the measurement registry are
                 quarantined (pair with --faults tamper@NODE)
@@ -326,6 +328,11 @@ fn cmd_parallel(flags: &HashMap<String, String>) -> Option<()> {
         BarrierMode::PerPhase
     };
     let cfg = MachineConfig::pine_a64(stack, seed);
+    let cores = cfg.platform.num_cores;
+    if !(1..=cores).contains(&threads) {
+        eprintln!("error: --threads {threads} is outside 1..={cores}, the platform's cores");
+        return None;
+    }
     let mut m = ParallelMachine::new(cfg, threads);
     let workloads = (0..threads).map(|_| NasBenchmark::Lu.model()).collect();
     let r = m.run(workloads, barrier);
@@ -362,6 +369,35 @@ fn cmd_cluster(flags: &HashMap<String, String>) -> Option<()> {
         .unwrap_or(Some(4))?;
     if nodes < 2 {
         eprintln!("error: --nodes {nodes} is below the 2-node minimum");
+        return None;
+    }
+    // A sweep runs its own grid of configurations: it takes the load
+    // (--nodes, --seed, --quick) but no flag of a single run, and runs
+    // alone.
+    let sweeps: Vec<&str> = ["ablation", "reliability", "metastability"]
+        .into_iter()
+        .filter(|s| flags.contains_key(*s))
+        .collect();
+    if let [first, second, ..] = sweeps[..] {
+        eprintln!("error: --{first} and --{second} are separate sweeps; run one at a time");
+        return None;
+    }
+    let run_flags = [
+        "faults",
+        "fault-seed",
+        "scenario",
+        "retries",
+        "adaptive",
+        "attest",
+        "queue-depth",
+        "out",
+        "stack",
+    ];
+    if let (Some(sweep), Some(flag)) = (
+        sweeps.first(),
+        run_flags.iter().find(|f| flags.contains_key(**f)),
+    ) {
+        eprintln!("error: --{sweep} runs its own grid and does not take --{flag}");
         return None;
     }
     let stack = stack_of(flags.get("stack").map(|s| s.as_str()).unwrap_or("kitten"))?;

@@ -127,3 +127,49 @@ fn a_fault_clause_naming_a_missing_target_is_refused() {
         "tamper@NODE needs --attest",
     );
 }
+
+#[test]
+fn parallel_threads_beyond_the_cores_are_refused() {
+    refused(
+        &["parallel", "--threads", "0"],
+        "--threads 0 is outside 1..=4",
+    );
+    refused(
+        &["parallel", "--threads", "9"],
+        "--threads 9 is outside 1..=4",
+    );
+}
+
+#[test]
+fn cluster_sweeps_refuse_the_flags_of_a_single_run() {
+    refused(
+        &["cluster", "--quick", "--ablation", "--faults", "garbage:1"],
+        "--ablation runs its own grid and does not take --faults",
+    );
+    refused(
+        &["cluster", "--quick", "--ablation", "--scenario", "garbage"],
+        "--ablation runs its own grid and does not take --scenario",
+    );
+    let out = std::env::temp_dir().join(format!("khsim-cli-{}-sweep.csv", std::process::id()));
+    let out = out.to_string_lossy().into_owned();
+    refused(
+        &[
+            "cluster",
+            "--quick",
+            "--reliability",
+            "--retries",
+            "--out",
+            &out,
+        ],
+        "--reliability runs its own grid and does not take --retries",
+    );
+    assert!(!std::path::Path::new(&out).exists(), "{out} was written");
+    refused(
+        &["cluster", "--metastability", "--stack", "linux"],
+        "--metastability runs its own grid and does not take --stack",
+    );
+    refused(
+        &["cluster", "--quick", "--ablation", "--reliability"],
+        "--ablation and --reliability are separate sweeps",
+    );
+}
