@@ -14,7 +14,9 @@
 //! (for virtualized configs), places the benchmark in a secondary VM,
 //! and advances virtual time phase by phase, injecting host ticks, guest
 //! ticks, and background noise with their full architectural costs (trap
-//! round trips, VM context switches, cache/TLB pollution).
+//! round trips, VM context switches, cache/TLB pollution). The loop that
+//! interleaves that noise into a phase is [`noise`], shared with
+//! [`parallel::ParallelMachine`] and the cluster nodes.
 //!
 //! [`experiment`] runs repeated trials and aggregates statistics;
 //! [`figures`] regenerates every figure and table of the paper's

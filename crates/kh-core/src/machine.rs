@@ -8,6 +8,12 @@
 //! the architectural costs — trap round trips, EL2 VM context switches,
 //! tick handlers, background bursts, and the cache/TLB pollution each one
 //! inflicts on the interrupted benchmark.
+//!
+//! Those costs and their interleaving into each phase come from the
+//! noise kernel ([`crate::noise`]) that the multi-core executor and the
+//! cluster nodes share; this executor adds, through its hooks, the SPM
+//! driving, trace records, the victim's faults, the injected fault, and
+//! the translation replay's walk-cost factor.
 
 use crate::config::{MachineConfig, StackKind};
 use crate::noise::{
