@@ -38,7 +38,7 @@ use kh_theseus::{TheseusProfile, SAFETY_TAX};
 /// Extra TLB/cache damage of a full VM switch (beyond the tick handler's
 /// own footprint): VMID tagging avoids full flushes, but the primary's
 /// working set still displaces guest entries.
-pub const VM_SWITCH_POLLUTION: PollutionState = PollutionState {
+const VM_SWITCH_POLLUTION: PollutionState = PollutionState {
     tlb_evicted: 12,
     cache_lines_evicted: 96,
 };
@@ -53,7 +53,8 @@ const CO_TENANT_POLLUTION: PollutionState = PollutionState {
 /// caller's behaviour byte for byte until the model decides it.
 #[derive(Debug, Clone, Copy)]
 pub struct Quirks {
-    /// A virtualized host tick also leaves [`VM_SWITCH_POLLUTION`].
+    /// A virtualized host tick also leaves the VM switch's own TLB/cache
+    /// damage (12 TLB entries, 96 lines).
     pub vm_switch_pollution: bool,
     /// The next background burst is drawn from the fired burst's own
     /// time rather than from the core's clock, so the schedule is a pure
@@ -302,7 +303,7 @@ impl NoiseCursor {
 
     /// Share the core with a co-tenant VM, first switching to it after
     /// one of the benchmark's own slices.
-    pub fn with_co_tenant(mut self, slices: Option<CoTenantSlices>) -> Self {
+    pub(crate) fn with_co_tenant(mut self, slices: Option<CoTenantSlices>) -> Self {
         self.co_tenant = slices;
         self.co_tenant_at = slices.map_or(Nanos::MAX, |c| Nanos(c.own_slice_ns.max(1)));
         self
@@ -370,7 +371,7 @@ impl NoiseCursor {
     /// Move the tick and burst schedules past `to` without firing: the
     /// core idled (at a barrier), so what fell due in between cost the
     /// benchmark nothing.
-    pub fn skip_to(&mut self, noise: &mut NoiseModel, to: Nanos) {
+    pub(crate) fn skip_to(&mut self, noise: &mut NoiseModel, to: Nanos) {
         let host_period = noise.host.tick_period();
         while self.host_tick_at <= to {
             self.host_tick_at += host_period;
