@@ -30,7 +30,7 @@
 //! the tamper-isolation gate asserts byte-for-byte.
 
 use crate::node::Node;
-use kh_hafnium::sha256;
+use kh_hafnium::sha256::HmacKey;
 use kh_hafnium::verify::TrustedKey;
 use kh_sim::{Nanos, SimRng};
 use kh_virtio::LinkProfile;
@@ -135,11 +135,11 @@ fn node_key(seed: u64, i: u16) -> [u8; 32] {
 
 /// The message a prover signs: presented measurement, the verifier's
 /// nonce, and the prover's own index (domain separation across nodes).
-fn evidence_message(measurement: &[u8; 32], nonce: &[u8; 32], peer: u16) -> Vec<u8> {
-    let mut m = Vec::with_capacity(32 + 32 + 2);
-    m.extend_from_slice(measurement);
-    m.extend_from_slice(nonce);
-    m.extend_from_slice(&peer.to_le_bytes());
+fn evidence_message(measurement: &[u8; 32], nonce: &[u8; 32], peer: u16) -> [u8; 66] {
+    let mut m = [0u8; 66];
+    m[..32].copy_from_slice(measurement);
+    m[32..64].copy_from_slice(nonce);
+    m[64..].copy_from_slice(&peer.to_le_bytes());
     m
 }
 
@@ -159,10 +159,15 @@ pub fn handshake(
     link: &LinkProfile,
 ) -> AttestationReport {
     let n = nodes.len();
-    // Deployment-time registry: golden measurement + key per node.
+    // Deployment-time registry: golden measurement + key per node. Each
+    // prover holds its own copy of its key; both sides key their HMAC
+    // once per node, not once per pair.
     let golden: Vec<[u8; 32]> = nodes.iter().map(|nd| nd.measurement()).collect();
-    let keys: Vec<TrustedKey> = (0..n)
+    let registry: Vec<TrustedKey> = (0..n)
         .map(|i| TrustedKey::new(format!("node{i}"), &node_key(seed, i as u16)))
+        .collect();
+    let provers: Vec<HmacKey> = (0..n)
+        .map(|i| HmacKey::new(&node_key(seed, i as u16)))
         .collect();
     // What each node actually presents at bring-up.
     let presented: Vec<[u8; 32]> = golden
@@ -201,8 +206,8 @@ pub fn handshake(
             // key; verifier recomputes under the registered key and then
             // compares the presented measurement to the golden value.
             let msg = evidence_message(&presented[p as usize], &nonce, p);
-            let sig = keys[p as usize].sign(&msg);
-            let sig_ok = sha256::hmac(&node_key(seed, p), &msg) == sig;
+            let sig = provers[p as usize].mac(&msg);
+            let sig_ok = registry[p as usize].sign(&msg) == sig;
             let measurement_ok = presented[p as usize] == golden[p as usize];
             verdicts.push(PairVerdict {
                 verifier: v,

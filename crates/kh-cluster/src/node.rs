@@ -461,8 +461,7 @@ impl Node {
     pub fn serve(&mut self, ready: Nanos, phase: &Phase, horizon: Nanos) -> Nanos {
         self.advance_noise_to(ready, horizon);
         let start = ready.max(self.busy_until);
-        let mut clean = PollutionState::default();
-        let cost = self.timer.price(phase, self.noise.regime(), &mut clean, 1);
+        let cost = self.noise.price(&self.timer, phase, 1, 1.0);
         // Per-request DRAM/thermal jitter, same sigma as the machine
         // executor, from this node's dedicated stream.
         let work = self.noise.work(cost.time, &mut self.service_rng) + self.dispatch_overhead();

@@ -20,7 +20,7 @@ use crate::noise::{
     run_phase, spm_dispatch, spm_tick, Fired, Hooks, NoiseCursor, NoiseModel, Quirks, Source,
 };
 use crate::victim::{VictimReport, VictimVm};
-use kh_arch::cpu::{AccessPattern, CoreTimer, Phase, PollutionState};
+use kh_arch::cpu::{AccessPattern, CoreTimer, Phase};
 use kh_arch::mmu::{AccessKind, MemAttr, PagePerms, Stage1Table, BLOCK_SIZE, PAGE_SIZE};
 use kh_arch::walkcache::WalkCacheStats;
 use kh_hafnium::manifest::{BootManifest, VmKind, VmManifest};
@@ -307,7 +307,6 @@ impl Machine {
         let fault_at = self.cfg.options.inject_fault_at_ns.filter(|_| faultable);
         let mut fault_at = fault_at.map_or(Nanos::MAX, Nanos);
         while let Some(phase) = w.next_phase(now) {
-            let mut clean = PollutionState::default();
             // Walk-cache discount from the functional translation replay;
             // exactly 1.0 (the analytic full-cost model) when disabled.
             let walk_factor = if self.s1_replay.is_some() {
@@ -315,10 +314,7 @@ impl Machine {
             } else {
                 1.0
             };
-            let regime = self.noise.regime();
-            let cost =
-                self.timer
-                    .price_with_walk_factor(&phase, regime, &mut clean, 1, walk_factor);
+            let cost = self.noise.price(&self.timer, &phase, 1, walk_factor);
             // Per-phase timing jitter models DRAM refresh/thermal
             // variation: the source of run-to-run stdev.
             let work = self.noise.work(cost.time, &mut self.rng);

@@ -10,7 +10,8 @@
 //!
 //! * [`NoiseModel`] is one machine's noise: its host kernel's timing
 //!   profile, the guest kernel's tick (virtualized stacks), and what each
-//!   event steals under the stack.
+//!   event steals under the stack. [`NoiseModel::price`] prices a phase
+//!   from a clean state and remembers the last one.
 //! * [`NoiseCursor`] is one core's place in that model: when its next
 //!   host tick, guest tick, co-tenant slice and background burst fall
 //!   due. [`NoiseCursor::fire`] consumes the earliest.
@@ -23,7 +24,7 @@
 //! field of [`Quirks`] or a hook argument, listed in DESIGN §10.
 
 use crate::config::{CoTenantSlices, MachineConfig, StackKind};
-use kh_arch::cpu::{CoreTimer, Phase, PollutionState, TranslationRegime};
+use kh_arch::cpu::{CoreTimer, Phase, PhaseCost, PollutionState, TranslationRegime};
 use kh_arch::el::ExceptionLevel;
 use kh_arch::noise::{NoiseEvent, OsTimingModel};
 use kh_hafnium::hypercall::HfCall;
@@ -158,6 +159,9 @@ pub struct NoiseModel {
     burst_overhead: Nanos,
     /// The same around a co-tenant slice (native: two context switches).
     slice_overhead: Nanos,
+    /// The last clean price: `(phase, streams, walk_factor bits)` and
+    /// its cost ([`NoiseModel::price`]).
+    priced: Option<((Phase, u32, u64), PhaseCost)>,
 }
 
 impl NoiseModel {
@@ -224,6 +228,7 @@ impl NoiseModel {
             guest_tick,
             burst_overhead: burst,
             slice_overhead: if virtualized { burst } else { ctx },
+            priced: None,
             host,
             guest,
         }
@@ -240,10 +245,42 @@ impl NoiseModel {
         self.guest.as_ref().map(|g| g.tick_period)
     }
 
-    /// The translation regime benchmark work runs under.
+    /// `phase` priced from a clean cache/TLB state under the model's
+    /// regime, with `streams` cores streaming from DRAM and the walk term
+    /// scaled by `walk_factor` ([`CoreTimer::price_with_walk_factor`]).
+    /// The cost is a pure function of those three for a given `timer`
+    /// (always the executor's own), and an executor prices one phase
+    /// shape back to back, so the model remembers the last one and a
+    /// repeat costs a comparison.
     #[inline]
-    pub fn regime(&self) -> TranslationRegime {
-        self.regime
+    pub fn price(
+        &mut self,
+        timer: &CoreTimer,
+        phase: &Phase,
+        streams: u32,
+        walk_factor: f64,
+    ) -> PhaseCost {
+        let key = (*phase, streams, walk_factor.to_bits());
+        if let Some((k, cost)) = self.priced {
+            if k == key {
+                debug_assert_eq!(cost, self.price_clean(timer, phase, streams, walk_factor));
+                return cost;
+            }
+        }
+        let cost = self.price_clean(timer, phase, streams, walk_factor);
+        self.priced = Some((key, cost));
+        cost
+    }
+
+    fn price_clean(
+        &self,
+        timer: &CoreTimer,
+        phase: &Phase,
+        streams: u32,
+        walk_factor: f64,
+    ) -> PhaseCost {
+        let mut clean = PollutionState::default();
+        timer.price_with_walk_factor(phase, self.regime, &mut clean, streams, walk_factor)
     }
 
     /// A phase's priced `time` with its DRAM/thermal jitter (one Gaussian
@@ -445,9 +482,10 @@ pub struct PhaseRun {
 /// the work is done. Each noise event steals its time and adds the
 /// re-warm of its pollution to the work left. An event that fell due
 /// while an earlier one was being serviced fires at once.
-// Always inlined: most phases fire nothing, and a call per phase cost
-// the selfish-detour run (millions of 2 000-instruction phases) about a
-// tenth of its host time.
+// Always inlined: most phases fire nothing, and with the phase priced
+// by the memo a call per phase made the selfish-detour run (millions of
+// 2 000-instruction phases) 2-20 % slower in three paired hostbench
+// runs on a 2-vCPU Xeon.
 #[inline(always)]
 pub fn run_phase<H: Hooks>(
     noise: &mut NoiseModel,
@@ -565,7 +603,118 @@ pub fn spm_dispatch(spm: &mut Spm, port: &SecondaryPort, core: u16, period: Nano
 mod tests {
     use super::*;
     use kh_workloads::gups::{GupsConfig, GupsModel};
+    use kh_workloads::hpcg::{HpcgConfig, HpcgModel};
+    use kh_workloads::nas::cg::{CgConfig, CgModel};
+    use kh_workloads::selfish::{SelfishConfig, SelfishDetour};
+    use kh_workloads::stream::{StreamConfig, StreamModel};
     use kh_workloads::Workload;
+
+    /// How a test stream sets the two non-phase parts of the key for
+    /// its `k`th phase.
+    #[derive(Clone, Copy)]
+    enum Keys {
+        /// One core streaming, full walk cost: selfish's and the
+        /// cluster's case.
+        Plain,
+        /// Each phase priced with one core streaming and again with
+        /// four, as a `ParallelMachine` core sees its neighbours start or
+        /// stop streaming.
+        AlternatingStreams,
+        /// A new walk factor every other phase, as the translation
+        /// replay measures one per GUPS phase.
+        VaryingWalk,
+    }
+
+    /// One `NoiseModel` prices every phase of selfish, GUPS, STREAM,
+    /// HPCG and NAS CG back to back under every key pattern, on a
+    /// two-stage and a stage-1 stack; each answer equals a fresh clean
+    /// `price_with_walk_factor`.
+    #[test]
+    fn memoized_price_equals_a_fresh_clean_price() {
+        let workloads: [fn() -> Box<dyn Workload>; 5] = [
+            || {
+                Box::new(SelfishDetour::new(SelfishConfig {
+                    duration: Nanos::from_millis(2),
+                    ..Default::default()
+                }))
+            },
+            || {
+                // Four times the TLB reach, so the walk factor matters.
+                Box::new(GupsModel::new(GupsConfig {
+                    log2_table: 20,
+                    updates_per_entry: 1,
+                }))
+            },
+            || {
+                Box::new(StreamModel::new(StreamConfig {
+                    n: 64 * 1024,
+                    ntimes: 3,
+                }))
+            },
+            || {
+                Box::new(HpcgModel::new(HpcgConfig {
+                    nx: 8,
+                    ny: 8,
+                    nz: 8,
+                    max_iters: 6,
+                    ..Default::default()
+                }))
+            },
+            || {
+                Box::new(CgModel::new(CgConfig {
+                    niter: 4,
+                    ..Default::default()
+                }))
+            },
+        ];
+        for stack in [StackKind::HafniumKitten, StackKind::NativeKitten] {
+            let cfg = MachineConfig::pine_a64(stack, 3);
+            let mut noise = NoiseModel::new(&cfg, 4, &mut SimRng::new(3), Quirks::PARALLEL);
+            let timer = CoreTimer::new(cfg.platform);
+            let (mut priced, mut repeats) = (0u32, 0u32);
+            let mut last = None;
+            for keys in [Keys::Plain, Keys::AlternatingStreams, Keys::VaryingWalk] {
+                for make in workloads {
+                    let mut w = make();
+                    let mut now = Nanos::ZERO;
+                    let mut k = 0u32;
+                    while let Some(phase) = w.next_phase(now) {
+                        let tries = match keys {
+                            Keys::Plain => vec![(1, 1.0)],
+                            Keys::AlternatingStreams => vec![(1, 1.0), (4, 1.0)],
+                            Keys::VaryingWalk => vec![(1, 0.2 + 0.1 * f64::from(k / 2 % 7))],
+                        };
+                        let mut cost = PhaseCost::default();
+                        for (streams, walk) in tries {
+                            let key = (phase, streams, walk.to_bits());
+                            repeats += u32::from(last == Some(key));
+                            last = Some(key);
+                            cost = noise.price(&timer, &phase, streams, walk);
+                            let mut clean = PollutionState::default();
+                            let fresh = timer.price_with_walk_factor(
+                                &phase,
+                                noise.regime,
+                                &mut clean,
+                                streams,
+                                walk,
+                            );
+                            let name = w.name();
+                            assert_eq!(
+                                cost, fresh,
+                                "{name} phase {k}, {streams} streams, {stack:?}"
+                            );
+                            priced += 1;
+                        }
+                        now += cost.time;
+                        w.phase_complete(now, &cost);
+                        k += 1;
+                    }
+                }
+            }
+            // The streams both repeat a key and change it.
+            assert!(repeats > 0 && repeats < priced - 1, "{repeats} of {priced}");
+        }
+    }
 
     /// The accounting identity on a Linux host's full noise mix: every
     /// nanosecond of a phase is work, re-warm or stolen, and the
@@ -580,8 +729,7 @@ mod tests {
         let mut w = GupsModel::new(GupsConfig::default());
         let (mut now, mut events, mut seen) = (Nanos::ZERO, [0u64; 4], 0u64);
         while let Some(phase) = w.next_phase(now) {
-            let mut clean = PollutionState::default();
-            let cost = timer.price(&phase, noise.regime(), &mut clean, 1);
+            let cost = noise.price(&timer, &phase, 1, 1.0);
             let work = noise.work(cost.time, &mut rng);
             let mut count = |_: &Fired, _: Nanos| seen += 1;
             let run = run_phase(

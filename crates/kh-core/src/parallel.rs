@@ -22,7 +22,7 @@
 
 use crate::config::{MachineConfig, StackKind};
 use crate::noise::{run_phase, spm_tick, Fired, NoiseCursor, NoiseModel, Quirks};
-use kh_arch::cpu::{CoreTimer, Phase, PhaseCost, PollutionState};
+use kh_arch::cpu::{CoreTimer, Phase, PhaseCost};
 use kh_hafnium::hypercall::HfCall;
 use kh_hafnium::manifest::{BootManifest, VmKind, VmManifest};
 use kh_hafnium::spm::{Spm, SpmConfig};
@@ -187,9 +187,7 @@ impl ParallelMachine {
     /// completion time. A host tick preempts and re-dispatches the
     /// core's VCPU; guest ticks steal their time without driving the SPM.
     fn advance(&mut self, core: u16, ctx: &mut CoreCtx, phase: &Phase, streams: u32) -> Nanos {
-        let mut clean = PollutionState::default();
-        let regime = self.noise.regime();
-        let cost = self.timer.price(phase, regime, &mut clean, streams.max(1));
+        let cost = self.noise.price(&self.timer, phase, streams.max(1), 1.0);
         let work = self.noise.work(cost.time, &mut ctx.jitter_rng);
         let (vm, vcpu) = self.placements[core as usize];
         let spm = &mut self.spm;

@@ -79,10 +79,15 @@ impl Sha256 {
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
         // Append 0x80 then zeros until 56 mod 64, then the length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        let pad_len = if self.buf_len < 56 {
+            56 - self.buf_len
+        } else {
+            120 - self.buf_len
+        };
+        self.update(&pad[..pad_len]);
+        debug_assert_eq!(self.buf_len, 56);
         // The length bytes must not be counted again; bypass update's
         // total_len accounting by compressing directly.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
@@ -147,28 +152,49 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     s.finalize()
 }
 
+/// An HMAC-SHA-256 (RFC 2104) key with its inner and outer pad blocks
+/// already absorbed: each MAC under it starts from the two saved hash
+/// states instead of re-running the key schedule.
+#[derive(Debug, Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; 64];
+        if key.len() > 64 {
+            key_block[..32].copy_from_slice(&digest(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut ipad = [0x36u8; 64];
+        let mut opad = [0x5cu8; 64];
+        for i in 0..64 {
+            ipad[i] ^= key_block[i];
+            opad[i] ^= key_block[i];
+        }
+        let mut inner = Sha256::new();
+        inner.update(&ipad);
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacKey { inner, outer }
+    }
+
+    /// The MAC of `message` under this key.
+    pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// HMAC-SHA-256 (RFC 2104) — the MAC used by the image-signing model.
 pub fn hmac(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut key_block = [0u8; 64];
-    if key.len() > 64 {
-        key_block[..32].copy_from_slice(&digest(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; 64];
-    let mut opad = [0x5cu8; 64];
-    for i in 0..64 {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 fn to_hex(d: &[u8]) -> String {
@@ -288,6 +314,70 @@ mod tests {
             to_hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    // RFC 4231 test case 7: key longer than block size, data longer
+    // than one block.
+    #[test]
+    fn hmac_rfc4231_case7() {
+        let key = [0xaau8; 131];
+        let data = b"This is a test using a larger than block-size key and a larger \
+than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
+        assert_eq!(
+            to_hex(&hmac(&key, data)),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
+    /// One key reused over many messages of every length around the
+    /// block boundaries MACs each one as a fresh key would.
+    #[test]
+    fn reused_hmac_key_equals_fresh_hmac() {
+        let key = HmacKey::new(b"registry-key");
+        let data: Vec<u8> = (0..200u8).collect();
+        for n in 0..data.len() {
+            assert_eq!(
+                key.mac(&data[..n]),
+                hmac(b"registry-key", &data[..n]),
+                "n={n}"
+            );
+        }
+    }
+
+    /// The padding boundaries: 55 bytes still fit the length in the
+    /// last block, 56 and 63 spill the length into a block of their own,
+    /// 64 pads a block that holds no message, and 119/120 repeat that one
+    /// block later.
+    #[test]
+    fn padding_boundaries() {
+        for (n, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(digest_hex(&vec![b'a'; n]), want, "n={n}");
+        }
     }
 
     #[test]

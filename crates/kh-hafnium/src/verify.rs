@@ -12,27 +12,29 @@
 //! per-image signatures verified before launch) is identical even though
 //! the primitive is symmetric.
 
-use crate::sha256;
+use crate::sha256::{self, HmacKey};
 
-/// A key trusted to sign VM images, installed during trusted boot.
+/// A key trusted to sign VM images, installed during trusted boot. It
+/// keeps the keyed HMAC state, so checking a signature hashes only the
+/// image.
 #[derive(Debug, Clone)]
 pub struct TrustedKey {
     pub name: String,
-    key: Vec<u8>,
+    key: HmacKey,
 }
 
 impl TrustedKey {
     pub fn new(name: impl Into<String>, key: &[u8]) -> Self {
         TrustedKey {
             name: name.into(),
-            key: key.to_vec(),
+            key: HmacKey::new(key),
         }
     }
 
     /// Sign an image (the tooling side — on a real system this happens
     /// offline with the private key).
     pub fn sign(&self, image: &[u8]) -> [u8; sha256::DIGEST_LEN] {
-        sha256::hmac(&self.key, image)
+        self.key.mac(image)
     }
 }
 
