@@ -134,8 +134,13 @@ struct Slot<V> {
 /// requested bound). The set index comes from the top bits of a
 /// fibonacci hash of the packed key, which spreads the arithmetic key
 /// sequences page tables produce without any per-process hash state.
+///
+/// The ways are allocated on the first insert: an SPM that never
+/// translates through its cache (a cluster node's) never pays for the
+/// 256 KiB combined table.
 #[derive(Debug, Clone)]
 struct SetTable<V> {
+    /// Empty until the first insert, then `sets * ways` slots.
     slots: Vec<Slot<V>>,
     /// Per-set clock hand for second-chance eviction.
     hands: Vec<u8>,
@@ -151,20 +156,25 @@ impl<V: Copy + Default> SetTable<V> {
         let max_sets = (cap / ways).max(1);
         let sets = 1usize << (usize::BITS - 1 - max_sets.leading_zeros());
         SetTable {
-            slots: vec![
-                Slot {
-                    idx: 0,
-                    tag: 0,
-                    flags: 0,
-                    val: V::default(),
-                };
-                sets * ways
-            ],
-            hands: vec![0; sets],
+            slots: Vec::new(),
+            hands: Vec::new(),
             set_bits: sets.trailing_zeros(),
             ways,
             len: 0,
         }
+    }
+
+    /// Allocate every way, all invalid.
+    fn allocate(&mut self) {
+        let sets = 1usize << self.set_bits;
+        let empty = Slot {
+            idx: 0,
+            tag: 0,
+            flags: 0,
+            val: V::default(),
+        };
+        self.slots = vec![empty; sets * self.ways];
+        self.hands = vec![0; sets];
     }
 
     #[inline]
@@ -181,6 +191,9 @@ impl<V: Copy + Default> SetTable<V> {
     /// so non-matching ways fall through on one predictable test.
     #[inline]
     fn get(&mut self, tag: u32, idx: u64) -> Option<&V> {
+        if self.slots.is_empty() {
+            return None;
+        }
         let base = self.set_of(tag, idx) * self.ways;
         for i in base..base + self.ways {
             let s = &self.slots[i];
@@ -194,6 +207,9 @@ impl<V: Copy + Default> SetTable<V> {
     }
 
     fn insert(&mut self, tag: u32, idx: u64, val: V) {
+        if self.slots.is_empty() {
+            self.allocate();
+        }
         let set = self.set_of(tag, idx);
         let base = set * self.ways;
         let mut empty = None;
@@ -572,6 +588,19 @@ mod tests {
         assert!(wc.is_empty());
         let (t_fresh, _) = wc.translate2(&s1, &s2, VA, AccessKind::Read).unwrap();
         assert_eq!(t_fresh.out_addr, 0x8010_0000);
+    }
+
+    #[test]
+    fn ways_are_allocated_on_first_insert() {
+        let (s1, s2) = tables(4);
+        let mut wc = WalkCache::default();
+        wc.invalidate_vmid(7);
+        wc.invalidate_all();
+        assert!(wc.combined.slots.is_empty() && wc.s1_prefix.slots.is_empty());
+        wc.translate2(&s1, &s2, VA, AccessKind::Read).unwrap();
+        assert_eq!(wc.combined.slots.len(), DEFAULT_COMBINED_CAPACITY);
+        assert_eq!(wc.s1_prefix.slots.len(), DEFAULT_S1_PREFIX_CAPACITY);
+        assert_eq!(wc.len(), (1, 1));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! from the *same* [`LinkProfile`] the guest-visible NICs use (see
 //! `kh_virtio::timing`), so a frame pays two hops of the one link
 //! model: NIC serialization onto its access link (charged by
-//! `VirtioNet::device_poll` at the sender), then switch egress
-//! serialization onto the destination's access link (charged here).
+//! `Node::send` at the sender, from the frame's length), then switch
+//! egress serialization onto the destination's access link (charged
+//! here).
 //!
 //! Fault hooks come from [`kh_sim::fault::FabricFaultPlan`]: random
 //! frame loss, reordering (an extra one-wire-time hold that lets later

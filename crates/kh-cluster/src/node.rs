@@ -1,9 +1,10 @@
 //! One cluster node: a full virtualized machine stack.
 //!
 //! Each [`Node`] boots a real [`Spm`] from a manifest (Kitten or Linux
-//! primary + the `svc` secondary), owns a virtio-net device peered into
-//! the fabric, and accounts OS noise with the noise-interleaving kernel
-//! the single-machine executor runs ([`kh_core::noise`]).
+//! primary + the `svc` secondary), prices its NIC traffic on the same
+//! link and copy model as a virtio-net device, and accounts OS noise
+//! with the noise-interleaving kernel the single-machine executor runs
+//! ([`kh_core::noise`]).
 //!
 //! The noise is a *lazily-advanced* [`NoiseCursor`] rather than entries
 //! in the cluster's shared event queue: each node tracks its next host
@@ -43,16 +44,12 @@ use kh_metrics::hist::LogHistogram;
 use kh_scenario::HpcKind;
 use kh_sim::{Nanos, SimRng};
 use kh_theseus::TheseusRuntime;
-use kh_virtio::{PeerBackend, VirtioNet};
+use kh_virtio::net::tx_charge;
+use kh_virtio::{IoCostModel, LinkProfile, NetStats};
 use kh_workloads::Workload;
 use std::collections::{HashMap, VecDeque};
 
 const MB: u64 = 1 << 20;
-/// Virtio-net completion interrupt id on the svc secondary.
-const NET_INTID: u32 = 78;
-/// Ring slots per direction — deep enough that the open-loop client
-/// never wedges on a full TX ring between reap passes.
-const QUEUE_SIZE: u16 = 256;
 
 /// CPU-sharing quantum grid a colocated HPC neighbor runs on: quantum
 /// `k` covers `[k*P, (k+1)*P)` and the neighbor occupies its head.
@@ -259,8 +256,12 @@ pub struct Node {
     backend: Backend,
     /// Boot-chain measurement, fixed at boot; attestation evidence.
     measurement: [u8; 32],
-    net: VirtioNet,
-    peer: PeerBackend,
+    /// The NIC's access link and copy costs: a frame is priced from
+    /// its length alone.
+    link: LinkProfile,
+    io: IoCostModel,
+    /// NIC counters of the current service instance.
+    net: NetStats,
     service_rng: SimRng,
     /// Completion times of admitted requests still in the service
     /// queue; admission control bounds its occupancy.
@@ -369,8 +370,9 @@ impl Node {
             cursor,
             backend,
             measurement,
-            net: VirtioNet::new(&platform, NET_INTID, QUEUE_SIZE, 0),
-            peer: PeerBackend::default(),
+            link: LinkProfile::from_platform(&platform),
+            io: IoCostModel::new(&platform),
+            net: NetStats::default(),
             service_rng,
             pending_done: VecDeque::new(),
             served_cache: HashMap::new(),
@@ -420,36 +422,29 @@ impl Node {
         self.cursor.fire_due(&mut self.noise, t, &mut hooks);
     }
 
-    /// Transmit `frame` through this node's NIC at `now`. Returns the
-    /// instant the frame enters the switch (after driver hand-off and
-    /// access-link serialization, which `device_poll` prices).
+    /// Transmit `frame` through this node's NIC at `now`, once the
+    /// service core is free. Returns the instant the frame enters the
+    /// switch: the driver copy, access-link serialization and base
+    /// latency ([`tx_charge`], the price a `VirtioNet` device charges),
+    /// all from the frame's length. The fabric carries the frame itself.
     pub fn send(&mut self, now: Nanos, frame: &[u8], horizon: Nanos) -> Nanos {
         self.advance_noise_to(now, horizon);
         let start = now.max(self.busy_until);
-        self.net.reap_tx();
-        self.net.send_frame(frame).expect("tx ring has room");
-        let report = self.net.device_poll(&mut self.peer);
-        // The peered backend captures rather than loops back; the cluster
-        // routes the captured frame through the fabric.
-        self.peer.outbound.clear();
-        start + report.time
+        let bytes = frame.len() as u64;
+        self.net.frames_tx += 1;
+        self.net.bytes_tx += bytes;
+        start + tx_charge(&self.io, &self.link, bytes)
     }
 
-    /// A frame arrives from the fabric at `now`: post an RX buffer and
-    /// land the frame in it. Returns the instant the payload is in guest
-    /// memory and the driver has seen the completion.
+    /// A frame arrives from the fabric at `now`. Returns the instant the
+    /// payload is in guest memory: the RX copy of its length. The RX
+    /// buffer always fits the frame, so nothing is truncated or dropped.
     pub fn receive(&mut self, now: Nanos, frame: &[u8], horizon: Nanos) -> Nanos {
         self.advance_noise_to(now, horizon);
-        self.net
-            .post_rx(frame.len().max(64) as u32)
-            .expect("rx ring has room");
-        let (copy, _irq) = self
-            .net
-            .deliver_frame(frame)
-            .expect("posted buffer accepts the frame");
-        // Drain the used ring so the next receive starts clean.
-        let _ = self.net.recv_frame();
-        now + copy
+        let bytes = frame.len() as u64;
+        self.net.frames_rx += 1;
+        self.net.bytes_rx += bytes;
+        now + self.io.copy(bytes)
     }
 
     /// Run the per-request service computation starting no earlier than
@@ -646,15 +641,15 @@ impl Node {
 
     /// The Kitten primary noticed the dead secondary (via
     /// `Spm::vm_is_crashed`) and drives recovery: rebuild stage-2
-    /// through `Spm::restart_vm`, bring up fresh virtio queues, re-arm
-    /// the vtimer, and charge `restart_cost` of service-core time.
-    /// Returns the instant the service is accepting requests again.
+    /// through `Spm::restart_vm`, bring up a fresh NIC (its counters
+    /// restart at zero), re-arm the vtimer, and charge `restart_cost`
+    /// of service-core time. Returns the instant the service is
+    /// accepting requests again.
     pub fn restart_svc(&mut self, now: Nanos, restart_cost: Nanos, horizon: Nanos) -> Nanos {
         self.advance_noise_to(now, horizon);
         // The crashed instance's device state dies with it; the fresh
-        // instance brings up fresh queues.
-        self.net = VirtioNet::new(&self.cfg.platform, NET_INTID, QUEUE_SIZE, 0);
-        self.peer = PeerBackend::default();
+        // instance's NIC counts from zero.
+        self.net = NetStats::default();
         match &mut self.backend {
             Backend::Spm {
                 spm,
@@ -680,8 +675,8 @@ impl Node {
     }
 
     /// Per-device NIC counters.
-    pub fn net_stats(&self) -> &kh_virtio::NetStats {
-        &self.net.stats
+    pub fn net_stats(&self) -> &NetStats {
+        &self.net
     }
 
     /// The paper's invariant, audited per node at end of run: SPM
@@ -771,6 +766,7 @@ impl Hooks for NodeHooks<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kh_virtio::{EchoBackend, NetBackend, VirtioNet};
     use kh_workloads::svcload::SvcLoadConfig;
 
     fn node(stack: StackKind, seed: u64) -> Node {
@@ -874,6 +870,9 @@ mod tests {
         let horizon = Nanos::from_millis(50);
         let mut n = node(StackKind::HafniumLinux, 8);
         assert!(!n.is_crashed());
+        n.send(Nanos::from_micros(10), &[0u8; 128], horizon);
+        n.receive(Nanos::from_micros(20), &[0u8; 128], horizon);
+        assert_eq!(n.net_stats().frames_tx, 1);
         n.crash_svc(Nanos::from_micros(100), horizon);
         assert!(n.is_crashed());
         // Noise keeps replaying while the secondary is down (the host
@@ -881,6 +880,11 @@ mod tests {
         n.advance_noise_to(Nanos::from_millis(5), horizon);
         let up = n.restart_svc(Nanos::from_millis(5), Nanos::from_millis(2), horizon);
         assert!(!n.is_crashed());
+        assert_eq!(
+            *n.net_stats(),
+            NetStats::default(),
+            "fresh NIC counts from zero"
+        );
         assert!(up >= Nanos::from_millis(7), "restart cost charged");
         assert_eq!(n.stats.restarts, 1);
         assert!(n.audit_isolation().is_ok());
@@ -961,16 +965,61 @@ mod tests {
         assert!(occ.as_nanos() <= horizon.as_nanos() * 3 / 4);
     }
 
+    /// What a fresh virtio-net device charges for one frame: the TX pass
+    /// through a backend that keeps the frame, and the extra an echo
+    /// pays to land the same frame in a posted `max(len, 64)`-byte RX
+    /// buffer.
+    fn device_charges(platform: &Platform, len: usize) -> (Nanos, Nanos) {
+        struct Sink;
+        impl NetBackend for Sink {
+            fn frame(&mut self, _: &[u8]) -> Option<Vec<u8>> {
+                None
+            }
+        }
+        let frame = vec![0u8; len];
+        let pass = |backend: &mut dyn NetBackend| {
+            let mut d = VirtioNet::new(platform, 78, 256, 0);
+            d.post_rx(len.max(64) as u32).unwrap();
+            d.send_frame(&frame).unwrap();
+            let report = d.device_poll(backend);
+            assert_eq!(d.stats.rx_dropped, 0);
+            report.time
+        };
+        let tx = pass(&mut Sink);
+        let echo = pass(&mut EchoBackend::default());
+        (tx, echo - tx)
+    }
+
     #[test]
     fn send_and_receive_price_the_nic_path() {
-        let mut n = node(StackKind::HafniumKitten, 4);
         let horizon = Nanos::from_millis(10);
-        let enter = n.send(Nanos::from_micros(50), &[7u8; 256], horizon);
-        assert!(enter > Nanos::from_micros(50), "driver+wire time charged");
-        let ready = n.receive(Nanos::from_micros(200), &[9u8; 256], horizon);
-        assert!(ready > Nanos::from_micros(200), "rx copy time charged");
-        assert_eq!(n.net_stats().frames_tx, 1);
-        assert_eq!(n.net_stats().frames_rx, 1);
+        let lens = [0usize, 1, 63, 64, 65, 640, 1500];
+        // 1 GbE on the embedded board, 10 GbE on the server part.
+        for platform in [Platform::pine_a64_lts(), Platform::thunderx2()] {
+            let mut n = Node::new(0, Role::Server, StackKind::HafniumKitten, platform, 4);
+            let mut t = Nanos::from_micros(50);
+            for &len in &lens {
+                let (tx, rx) = device_charges(&platform, len);
+                let frame = vec![7u8; len];
+                n.advance_noise_to(t, horizon);
+                let start = t.max(n.busy_until);
+                assert_eq!(n.send(t, &frame, horizon), start + tx, "send of {len} B");
+                t += Nanos::from_micros(40);
+                assert_eq!(n.receive(t, &frame, horizon), t + rx, "receive of {len} B");
+                t += Nanos::from_micros(40);
+            }
+            let bytes: u64 = lens.iter().map(|&l| l as u64).sum();
+            // One more send, unanswered, so the two directions differ.
+            n.send(t, &[0u8; 100], horizon);
+            let want = NetStats {
+                frames_tx: lens.len() as u64 + 1,
+                frames_rx: lens.len() as u64,
+                bytes_tx: bytes + 100,
+                bytes_rx: bytes,
+                rx_dropped: 0,
+            };
+            assert_eq!(*n.net_stats(), want);
+        }
     }
 
     #[test]

@@ -516,8 +516,8 @@ pub(crate) fn execute(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
 
     let base_phase = cfg.svcload.service_phase();
     let mut q: EventQueue<Ev> = EventQueue::new();
-    // The NICs copy frames of zeros: their timing reads only the
-    // length, and one buffer the size of the largest frame serves all.
+    // The NICs price a frame by its length alone, so one buffer of
+    // zeros the size of the largest frame serves every send and receive.
     let lengths = [FrameKind::Request, FrameKind::Response, FrameKind::Nack]
         .map(|k| cfg.svcload.wire_bytes(k));
     let zeros = vec![0u8; lengths.into_iter().max().unwrap_or(0)];

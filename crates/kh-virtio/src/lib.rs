@@ -37,7 +37,7 @@ pub mod watchdog;
 
 pub use blk::{BlkRequest, StorageProfile, VirtioBlk};
 pub use cost::IoCostModel;
-pub use net::{EchoBackend, LinkProfile, NetBackend, NetStats, PeerBackend, VirtioNet};
+pub use net::{EchoBackend, LinkProfile, NetBackend, NetStats, VirtioNet};
 pub use queue::{QueueError, QueueRegion, QueueStats, Virtqueue};
 pub use watchdog::KickWatchdog;
 

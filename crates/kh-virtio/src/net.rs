@@ -53,6 +53,14 @@ impl LinkProfile {
     }
 }
 
+/// Device-side time to transmit one `bytes`-long frame: the copy out of
+/// the driver's buffer, serialization onto the access link, and the
+/// link's fixed DMA + MAC latency. The one TX price: the device charges
+/// it per dequeued frame, and a cluster node charges it per sent frame.
+pub fn tx_charge(cost: &IoCostModel, link: &LinkProfile, bytes: u64) -> Nanos {
+    cost.copy(bytes) + link.wire_time(bytes) + link.base_latency
+}
+
 /// Where frames go once the device dequeues them. `frame` may return a
 /// frame to deliver back to the driver's rx queue (echo, response, ...).
 pub trait NetBackend {
@@ -74,39 +82,8 @@ impl NetBackend for EchoBackend {
     }
 }
 
-/// The cluster-fabric peering backend: frames leaving this machine's tx
-/// queue are captured for a remote machine instead of looping back.
-/// `device_poll` pushes each transmitted frame into `outbound`; the
-/// fabric drains it, applies transit (wire time, switch queueing,
-/// faults), and delivers the frame into the *remote* device's rx queue
-/// via [`VirtioNet::deliver_frame`]. Nothing comes back locally, so
-/// `frame` always returns `None`.
-#[derive(Debug, Default)]
-pub struct PeerBackend {
-    /// Frames awaiting fabric pickup, in transmission order.
-    pub outbound: std::collections::VecDeque<Vec<u8>>,
-    pub frames: u64,
-    pub bytes: u64,
-}
-
-impl PeerBackend {
-    /// Drain every captured frame, oldest first.
-    pub fn drain(&mut self) -> Vec<Vec<u8>> {
-        self.outbound.drain(..).collect()
-    }
-}
-
-impl NetBackend for PeerBackend {
-    fn frame(&mut self, frame: &[u8]) -> Option<Vec<u8>> {
-        self.frames += 1;
-        self.bytes += frame.len() as u64;
-        self.outbound.push_back(frame.to_vec());
-        None
-    }
-}
-
 /// Counters for one device instance.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     pub frames_tx: u64,
     pub frames_rx: u64,
@@ -250,8 +227,7 @@ impl VirtioNet {
                 continue;
             };
             let bytes = frame.len() as u64;
-            report.time +=
-                self.cost.copy(bytes) + self.link.wire_time(bytes) + self.link.base_latency;
+            report.time += tx_charge(&self.cost, &self.link, bytes);
             self.stats.frames_tx += 1;
             self.stats.bytes_tx += bytes;
             self.tx.push_used(head, 0).expect("tx completion");
@@ -284,31 +260,6 @@ impl VirtioNet {
             self.tx.suppress_kicks_for(self.batch);
         }
         report
-    }
-
-    /// Deliver a frame that arrived from a *remote* machine over the
-    /// fabric into this device's rx queue (the receive half of the
-    /// [`PeerBackend`] peering path). Returns the device-side service
-    /// time and whether a completion interrupt actually fired; `None`
-    /// when no rx buffer was posted (the frame is dropped and counted
-    /// in `stats.rx_dropped`, exactly like an unanswered echo).
-    pub fn deliver_frame(&mut self, frame: &[u8]) -> Option<(Nanos, bool)> {
-        match self.rx.pop_avail() {
-            Some(rx_head) => {
-                let buf = self.rx.in_buf_mut(rx_head).expect("rx in-buf");
-                let n = frame.len().min(buf.len());
-                buf[..n].copy_from_slice(&frame[..n]);
-                let time = self.cost.copy(n as u64);
-                self.rx.push_used(rx_head, n as u32).expect("rx completion");
-                self.stats.frames_rx += 1;
-                self.stats.bytes_rx += n as u64;
-                Some((time, self.rx.interrupt()))
-            }
-            None => {
-                self.stats.rx_dropped += 1;
-                None
-            }
-        }
     }
 }
 
@@ -359,43 +310,6 @@ mod tests {
         }
         assert_eq!(d.tx.stats.kicks, 1, "one doorbell per 16-frame batch");
         assert_eq!(d.tx.stats.kicks_suppressed, 15);
-    }
-
-    #[test]
-    fn peer_backend_captures_frames_without_loopback() {
-        let mut d = dev();
-        let mut backend = PeerBackend::default();
-        d.post_rx(2048).unwrap();
-        d.send_frame(b"to-remote").unwrap();
-        let report = d.device_poll(&mut backend);
-        assert_eq!(report.tx_done, 1);
-        assert_eq!(report.rx_done, 0, "peering never loops back locally");
-        assert_eq!(backend.frames, 1);
-        let captured = backend.drain();
-        assert_eq!(captured, vec![b"to-remote".to_vec()]);
-        assert!(backend.outbound.is_empty());
-        assert!(d.recv_frame().is_none());
-    }
-
-    #[test]
-    fn deliver_frame_lands_in_remote_rx() {
-        let frame: Vec<u8> = (0..600u32).map(|i| (i * 7) as u8).collect();
-        let sum = checksum(&frame);
-        let mut remote = dev();
-        remote.post_rx(2048).unwrap();
-        let (time, irq) = remote.deliver_frame(&frame).expect("posted buffer");
-        assert!(time > Nanos::ZERO);
-        assert!(irq, "unsuppressed completion interrupt fires");
-        let got = remote.recv_frame().expect("delivered frame");
-        assert_eq!(checksum(&got), sum);
-        assert_eq!(remote.stats.frames_rx, 1);
-    }
-
-    #[test]
-    fn deliver_frame_without_rx_buffer_drops() {
-        let mut remote = dev();
-        assert!(remote.deliver_frame(b"lost").is_none());
-        assert_eq!(remote.stats.rx_dropped, 1);
     }
 
     #[test]
