@@ -1096,4 +1096,44 @@ mod golden {
             failures.join("\n")
         );
     }
+
+    /// `virtio_io_run`: the row's Debug and every traced doorbell and
+    /// IRQ-injection event, on each cluster stack under both routing
+    /// policies and doorbell batches {0, 1, 16}. 200 frames and 100
+    /// requests leave a partial last burst at batch 16.
+    const VIRTIO_GOLDEN: [(StackKind, u64); 3] = [
+        (StackKind::HafniumKitten, 0x5593_c1f0_abe4_d64c),
+        (StackKind::HafniumLinux, 0x3028_efc4_46fc_619e),
+        (StackKind::NativeTheseus, 0x5ecd_c269_4362_7b30),
+    ];
+
+    #[test]
+    fn virtio_runs_match_golden_digests() {
+        use kitten_hafnium::core::figures::virtio_io_run;
+        use kitten_hafnium::hafnium::irq::IrqRoutingPolicy;
+        use kitten_hafnium::sim::trace::TraceRecorder;
+
+        let mut failures = Vec::new();
+        for (stack, want) in VIRTIO_GOLDEN {
+            let mut sums = Vec::new();
+            for policy in [IrqRoutingPolicy::AllToPrimary, IrqRoutingPolicy::Selective] {
+                for batch in [0, 1, 16] {
+                    let mut tr = TraceRecorder::new(1 << 20);
+                    let row = virtio_io_run(stack, policy, 200, 100, batch, Some(&mut tr));
+                    assert_eq!(tr.dropped(), 0, "the trace must hold every event");
+                    sums.extend_from_slice(&checksum(format!("{row:?}").as_bytes()).to_le_bytes());
+                    sums.extend_from_slice(&checksum(tr.to_csv().as_bytes()).to_le_bytes());
+                }
+            }
+            let got = checksum(&sums);
+            if got != want {
+                failures.push(format!("{stack:?}: {got:#018x} (pinned {want:#018x})"));
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "digests moved:\n{}",
+            failures.join("\n")
+        );
+    }
 }
