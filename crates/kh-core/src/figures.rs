@@ -739,68 +739,11 @@ pub struct VirtioAblationRow {
 }
 
 /// The frontend driver matching the stack's OS family.
-enum VirtioFrontend {
-    Kitten(kh_kitten::virtio::KittenVirtioDriver),
-    Linux(kh_linux::virtio::LinuxVirtioDriver),
-    Theseus(kh_theseus::TheseusVirtioDriver),
-}
-
-impl VirtioFrontend {
-    fn for_stack(stack: StackKind, vm: kh_hafnium::vm::VmId) -> Self {
-        match stack {
-            StackKind::HafniumLinux => {
-                VirtioFrontend::Linux(kh_linux::virtio::LinuxVirtioDriver::new(vm, 4))
-            }
-            StackKind::NativeTheseus => {
-                VirtioFrontend::Theseus(kh_theseus::TheseusVirtioDriver::new())
-            }
-            StackKind::NativeKitten | StackKind::HafniumKitten => {
-                VirtioFrontend::Kitten(kh_kitten::virtio::KittenVirtioDriver::new(vm))
-            }
-        }
-    }
-
-    fn irq_entry_cost(&self) -> Nanos {
-        match self {
-            VirtioFrontend::Kitten(d) => d.irq_entry_cost(),
-            VirtioFrontend::Linux(d) => d.irq_entry_cost(),
-            VirtioFrontend::Theseus(d) => d.irq_entry_cost(),
-        }
-    }
-
-    /// (completions, cost, bytes)
-    fn drain_net(&mut self, net: &mut kh_virtio::net::VirtioNet) -> (u64, Nanos, u64) {
-        match self {
-            VirtioFrontend::Kitten(d) => {
-                let r = d.drain_net(net);
-                (r.completions, r.cost, r.bytes)
-            }
-            VirtioFrontend::Linux(d) => {
-                let r = d.drain_net(net);
-                (r.completions, r.cost, r.bytes)
-            }
-            VirtioFrontend::Theseus(d) => {
-                let r = d.drain_net(net);
-                (r.completions, r.cost, r.bytes)
-            }
-        }
-    }
-
-    fn drain_blk(&mut self, blk: &mut kh_virtio::blk::VirtioBlk) -> (u64, Nanos, u64) {
-        match self {
-            VirtioFrontend::Kitten(d) => {
-                let r = d.drain_blk(blk);
-                (r.completions, r.cost, r.bytes)
-            }
-            VirtioFrontend::Linux(d) => {
-                let r = d.drain_blk(blk);
-                (r.completions, r.cost, r.bytes)
-            }
-            VirtioFrontend::Theseus(d) => {
-                let r = d.drain_blk(blk);
-                (r.completions, r.cost, r.bytes)
-            }
-        }
+fn frontend(stack: StackKind) -> kh_virtio::frontend::Frontend {
+    match stack {
+        StackKind::HafniumLinux => kh_linux::virtio::frontend(),
+        StackKind::NativeTheseus => kh_theseus::virtio::frontend(),
+        StackKind::NativeKitten | StackKind::HafniumKitten => kh_kitten::virtio::frontend(),
     }
 }
 
@@ -863,11 +806,11 @@ pub fn virtio_io_run(
         region
     });
 
-    let mut frontend = VirtioFrontend::for_stack(stack, driver_vm);
-    // The backend service task in the primary is scheduled in per pass;
-    // forwarded completions additionally run the primary's relay handler.
-    let primary_frontend = VirtioFrontend::for_stack(stack, VmId::PRIMARY);
-    let primary_pass_cost = primary_frontend.irq_entry_cost();
+    let mut driver = frontend(stack);
+    // The backend service task in the primary (same OS as the driver's)
+    // is scheduled in per pass; forwarded completions additionally run
+    // the primary's relay handler.
+    let primary_pass_cost = driver.irq_entry;
 
     let mut net = VirtioNet::new(&platform, VIRTIO_NET_IRQ, 256, batch);
     let mut blk = VirtioBlk::new(&platform, VIRTIO_BLK_IRQ, 256, batch);
@@ -976,11 +919,11 @@ pub fn virtio_io_run(
                 "netecho",
             );
         }
-        let (_, drain_cost, _) = frontend.drain_net(&mut net);
+        let drain_cost = driver.drain_net(&mut net).cost;
         net_time += drain_cost;
         if report.irqs == 0 {
             // Reap was a poll, not an interrupt entry.
-            net_time -= frontend.irq_entry_cost().min(drain_cost);
+            net_time -= driver.irq_entry.min(drain_cost);
         }
         sent += n;
     }
@@ -994,10 +937,9 @@ pub fn virtio_io_run(
     let sectors_per_req = 8u32;
     let req_bytes = sectors_per_req as u64 * SECTOR_BYTES as u64;
     let mut blk_time = Nanos::ZERO;
-    let mut issued = 0u32;
     // Write pass then read-back pass.
     for pass in 0..2u32 {
-        issued = 0;
+        let mut issued = 0u32;
         while issued < requests {
             let n = burst.min(requests - issued);
             for i in 0..n {
@@ -1040,15 +982,14 @@ pub fn virtio_io_run(
                     "blkstream",
                 );
             }
-            let (_, drain_cost, _) = frontend.drain_blk(&mut blk);
+            let drain_cost = driver.drain_blk(&mut blk).cost;
             blk_time += drain_cost;
             if report.irqs == 0 {
-                blk_time -= frontend.irq_entry_cost().min(drain_cost);
+                blk_time -= driver.irq_entry.min(drain_cost);
             }
             issued += n;
         }
     }
-    let _ = issued;
     let blk_bytes = 2 * requests as u64 * req_bytes;
     row.blk_per_request = Nanos(blk_time.as_nanos() / (2 * requests.max(1)) as u64);
     row.blk_mbps = blk_bytes as f64 / blk_time.as_secs_f64().max(1e-12) / 1e6;

@@ -21,8 +21,8 @@ use kh_hafnium::hypercall::{HfCall, HfReturn};
 use kh_hafnium::spm::Spm;
 use kh_hafnium::vm::{VcpuRunExit, VmId};
 use kh_kitten::retry::{no_progress, send_with_retry, MailboxRetryPolicy};
-use kh_kitten::virtio::KittenVirtioDriver;
 use kh_sim::{FaultEvent, FaultKind, FaultPlan, Nanos, TraceCategory, TraceRecorder};
+use kh_virtio::frontend::Frontend;
 use kh_virtio::net::{EchoBackend, VirtioNet};
 
 /// The victim's fixed VM id (primary 0, super-secondary 1, bench 2).
@@ -74,7 +74,7 @@ pub struct VictimVm {
     pub vm: VmId,
     platform: Platform,
     net: VirtioNet,
-    driver: KittenVirtioDriver,
+    driver: Frontend,
     backend: EchoBackend,
     /// Next heartbeat time (delay-timer faults push it out).
     pub next_beat: Nanos,
@@ -88,7 +88,7 @@ impl VictimVm {
             vm: VICTIM_VM,
             platform,
             net: VirtioNet::new(&platform, VICTIM_IRQ, QUEUE_SIZE, 0),
-            driver: KittenVirtioDriver::new(VICTIM_VM),
+            driver: kh_kitten::virtio::frontend(),
             backend: EchoBackend::default(),
             next_beat: BEAT_PERIOD,
             hung_until: Nanos::ZERO,
@@ -185,7 +185,7 @@ impl VictimVm {
             // The crashed instance's device state dies with it; the
             // fresh instance brings up fresh queues.
             self.net = VirtioNet::new(&self.platform, VICTIM_IRQ, QUEUE_SIZE, 0);
-            self.driver = KittenVirtioDriver::new(self.vm);
+            self.driver = kh_kitten::virtio::frontend();
             self.hung_until = Nanos::ZERO;
             trace.emit(
                 at,

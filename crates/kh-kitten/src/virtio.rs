@@ -7,205 +7,32 @@
 //! into the handler, a small per-completion reap cost, nothing else.
 
 use crate::profile::KittenProfile;
-use kh_hafnium::hypercall::{HfCall, HfError};
-use kh_hafnium::spm::Spm;
-use kh_hafnium::vm::VmId;
 use kh_sim::Nanos;
-use kh_virtio::blk::VirtioBlk;
-use kh_virtio::net::VirtioNet;
+use kh_virtio::frontend::Frontend;
 use kh_virtio::watchdog::KickWatchdog;
 
-/// What one completion-interrupt service pass cost and reaped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DrainReport {
-    pub completions: u64,
-    pub cost: Nanos,
-    /// Payload bytes handed to the consumer (rx frames / read data).
-    pub bytes: u64,
-}
-
-/// The frontend driver living in a Kitten VM: owns interrupt attach and
-/// the OS-side cost of every completion.
-#[derive(Debug, Clone)]
-pub struct KittenVirtioDriver {
-    pub vm: VmId,
-    pub profile: KittenProfile,
-    /// Per-completion reap cost (descriptor recycle + buffer handoff).
-    pub per_completion: Nanos,
-    /// Doorbell watchdog: a lost kick is re-rung after this lapses. An
-    /// LWK can afford a tight watchdog (its timers are cheap and its
-    /// device round trips are microseconds).
-    pub watchdog: KickWatchdog,
-}
-
-impl KittenVirtioDriver {
-    pub fn new(vm: VmId) -> Self {
-        KittenVirtioDriver {
-            vm,
-            profile: KittenProfile::default(),
-            per_completion: Nanos(150),
-            watchdog: KickWatchdog::new(Nanos::from_micros(100)),
-        }
-    }
-
-    /// The frontend rang a doorbell: arm the re-kick watchdog.
-    pub fn note_kick(&mut self, now: Nanos) {
-        self.watchdog.note_kick(now);
-    }
-
-    /// If a kick has gone unanswered past the timeout, consume the
-    /// deadline and tell the caller to ring the doorbell again.
-    pub fn should_rekick(&mut self, now: Nanos) -> bool {
-        self.watchdog.fire(now)
-    }
-
-    /// Enable the device's completion interrupt through the para-virtual
-    /// interrupt controller (the only GIC access a secondary has).
-    pub fn attach(
-        &self,
-        spm: &mut Spm,
-        vcpu: u16,
-        core: u16,
-        intid: u32,
-        now: Nanos,
-    ) -> Result<(), HfError> {
-        spm.hypercall(
-            self.vm,
-            vcpu,
-            core,
-            HfCall::InterruptEnable {
-                intid,
-                enable: true,
-            },
-            now,
-        )
-        .map(|_| ())
-    }
-
-    /// OS cost of taking one completion interrupt: a single switch into
-    /// the run-to-completion handler.
-    pub fn irq_entry_cost(&self) -> Nanos {
-        self.profile.ctx_switch_cost
-    }
-
-    /// Service a net completion interrupt: reap rx frames and tx slots.
-    pub fn drain_net(&mut self, net: &mut VirtioNet) -> DrainReport {
-        let mut r = DrainReport {
-            cost: self.irq_entry_cost(),
-            ..Default::default()
-        };
-        while let Some(frame) = net.recv_frame() {
-            r.completions += 1;
-            r.bytes += frame.len() as u64;
-            r.cost += self.per_completion;
-        }
-        let tx = net.reap_tx();
-        r.completions += tx;
-        r.cost += self.per_completion.scaled(tx);
-        if r.completions > 0 {
-            self.watchdog.note_completion();
-        }
-        r
-    }
-
-    /// Service a blk completion interrupt: reap finished requests.
-    pub fn drain_blk(&mut self, blk: &mut VirtioBlk) -> DrainReport {
-        let mut r = DrainReport {
-            cost: self.irq_entry_cost(),
-            ..Default::default()
-        };
-        while let Some(data) = blk.poll_completion() {
-            r.completions += 1;
-            r.bytes += data.len() as u64;
-            r.cost += self.per_completion;
-        }
-        if r.completions > 0 {
-            self.watchdog.note_completion();
-        }
-        r
+/// The frontend driver living in a Kitten VM.
+pub fn frontend() -> Frontend {
+    Frontend {
+        // A single switch into the run-to-completion handler.
+        irq_entry: KittenProfile::default().ctx_switch_cost,
+        // Descriptor recycle + buffer handoff.
+        per_completion: Nanos(150),
+        // An LWK can afford a tight watchdog: its timers are cheap and
+        // its device round trips are microseconds.
+        watchdog: KickWatchdog::new(Nanos::from_micros(100)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kh_arch::platform::Platform;
-    use kh_hafnium::manifest::{VmKind, VmManifest};
-    use kh_hafnium::spm::SpmConfig;
-    use kh_virtio::net::EchoBackend;
-
-    const MB: u64 = 1 << 20;
-
-    fn spm() -> Spm {
-        let mut s = Spm::new(SpmConfig::default_for(Platform::pine_a64_lts()));
-        s.create_vm(
-            VmId::PRIMARY,
-            &VmManifest::new("kitten", VmKind::Primary, 64 * MB, 4),
-        )
-        .unwrap();
-        s.create_vm(
-            VmId(2),
-            &VmManifest::new("app", VmKind::Secondary, 64 * MB, 1),
-        )
-        .unwrap();
-        s.start_primary();
-        s
-    }
-
-    #[test]
-    fn attach_enables_the_interrupt() {
-        let mut spm = spm();
-        let drv = KittenVirtioDriver::new(VmId(2));
-        drv.attach(&mut spm, 0, 0, 78, Nanos::ZERO).unwrap();
-    }
-
-    #[test]
-    fn drain_reaps_everything_and_prices_it() {
-        let platform = Platform::pine_a64_lts();
-        let mut net = VirtioNet::new(&platform, 78, 64, 0);
-        let mut backend = EchoBackend::default();
-        for i in 0..4u8 {
-            net.post_rx(256).unwrap();
-            net.send_frame(&[i; 100]).unwrap();
-        }
-        net.device_poll(&mut backend);
-
-        let mut drv = KittenVirtioDriver::new(VmId(2));
-        let r = drv.drain_net(&mut net);
-        assert_eq!(r.completions, 8, "4 rx frames + 4 tx slots");
-        assert_eq!(r.bytes, 400);
-        assert_eq!(r.cost, drv.irq_entry_cost() + drv.per_completion.scaled(8));
-    }
 
     #[test]
     fn lwk_interrupt_entry_is_one_switch() {
-        let drv = KittenVirtioDriver::new(VmId(2));
-        assert_eq!(drv.irq_entry_cost(), Nanos::from_micros(1));
-    }
-
-    #[test]
-    fn lost_doorbell_is_rekicked_after_timeout() {
-        let mut drv = KittenVirtioDriver::new(VmId(2));
-        drv.note_kick(Nanos::ZERO);
-        // The doorbell was lost: no completion ever arrives.
-        assert!(!drv.should_rekick(Nanos::from_micros(99)));
-        assert!(drv.should_rekick(Nanos::from_micros(100)));
-        assert_eq!(drv.watchdog.rekicks, 1);
-    }
-
-    #[test]
-    fn served_doorbell_disarms_the_watchdog() {
-        let platform = Platform::pine_a64_lts();
-        let mut net = VirtioNet::new(&platform, 78, 64, 0);
-        let mut backend = EchoBackend::default();
-        net.post_rx(256).unwrap();
-        net.send_frame(&[7u8; 64]).unwrap();
-        let mut drv = KittenVirtioDriver::new(VmId(2));
-        drv.note_kick(Nanos::ZERO);
-        net.device_poll(&mut backend);
-        let r = drv.drain_net(&mut net);
-        assert!(r.completions > 0);
-        assert!(!drv.should_rekick(Nanos::from_micros(1000)));
-        assert_eq!(drv.watchdog.rekicks, 0);
+        let drv = frontend();
+        assert_eq!(drv.irq_entry, Nanos::from_micros(1));
+        assert_eq!(drv.per_completion, Nanos(150));
+        assert_eq!(drv.watchdog.timeout, Nanos::from_micros(100));
     }
 }

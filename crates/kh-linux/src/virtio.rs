@@ -7,167 +7,48 @@
 //! encode that two-stage path; contrast `kh_kitten::virtio`.
 
 use crate::profile::LinuxProfile;
-use kh_hafnium::hypercall::{HfCall, HfError};
-use kh_hafnium::spm::Spm;
-use kh_hafnium::vm::VmId;
 use kh_sim::Nanos;
-use kh_virtio::blk::VirtioBlk;
-use kh_virtio::net::VirtioNet;
+use kh_virtio::frontend::Frontend;
 use kh_virtio::watchdog::KickWatchdog;
 
-/// What one completion-interrupt service pass cost and reaped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DrainReport {
-    pub completions: u64,
-    pub cost: Nanos,
-    /// Payload bytes handed to the consumer (rx frames / read data).
-    pub bytes: u64,
-}
-
 /// The frontend driver living in a Linux VM.
-#[derive(Debug)]
-pub struct LinuxVirtioDriver {
-    pub vm: VmId,
-    pub profile: LinuxProfile,
-    /// Per-completion bookkeeping (skb alloc / bio endio, cgroup stats).
-    pub per_completion: Nanos,
-    /// Doorbell watchdog (virtio-net tx watchdog / blk-mq request
-    /// timeout). Jiffy-resolution timers make it far coarser than
-    /// Kitten's: 4 ms, one HZ=250 tick.
-    pub watchdog: KickWatchdog,
-}
-
-impl LinuxVirtioDriver {
-    pub fn new(vm: VmId, num_cores: u16) -> Self {
-        LinuxVirtioDriver {
-            vm,
-            profile: LinuxProfile::new(0, num_cores),
-            per_completion: Nanos(450),
-            watchdog: KickWatchdog::new(Nanos::from_micros(4000)),
-        }
-    }
-
-    /// The frontend rang a doorbell: arm the re-kick watchdog.
-    pub fn note_kick(&mut self, now: Nanos) {
-        self.watchdog.note_kick(now);
-    }
-
-    /// If a kick has gone unanswered past the timeout, consume the
-    /// deadline and tell the caller to ring the doorbell again.
-    pub fn should_rekick(&mut self, now: Nanos) -> bool {
-        self.watchdog.fire(now)
-    }
-
-    /// Enable the device's completion interrupt through the para-virtual
-    /// interrupt controller.
-    pub fn attach(
-        &self,
-        spm: &mut Spm,
-        vcpu: u16,
-        core: u16,
-        intid: u32,
-        now: Nanos,
-    ) -> Result<(), HfError> {
-        spm.hypercall(
-            self.vm,
-            vcpu,
-            core,
-            HfCall::InterruptEnable {
-                intid,
-                enable: true,
-            },
-            now,
-        )
-        .map(|_| ())
-    }
-
-    /// OS cost of taking one completion interrupt: the hardirq entry
-    /// switch plus the deferred softirq pass that actually reaps.
-    pub fn irq_entry_cost(&self) -> Nanos {
-        self.profile.ctx_switch_cost + self.profile.tick_cost
-    }
-
-    /// Service a net completion interrupt (the NAPI poll).
-    pub fn drain_net(&mut self, net: &mut VirtioNet) -> DrainReport {
-        let mut r = DrainReport {
-            cost: self.irq_entry_cost(),
-            ..Default::default()
-        };
-        while let Some(frame) = net.recv_frame() {
-            r.completions += 1;
-            r.bytes += frame.len() as u64;
-            r.cost += self.per_completion;
-        }
-        let tx = net.reap_tx();
-        r.completions += tx;
-        r.cost += self.per_completion.scaled(tx);
-        if r.completions > 0 {
-            self.watchdog.note_completion();
-        }
-        r
-    }
-
-    /// Service a blk completion interrupt (the blk-mq completion pass).
-    pub fn drain_blk(&mut self, blk: &mut VirtioBlk) -> DrainReport {
-        let mut r = DrainReport {
-            cost: self.irq_entry_cost(),
-            ..Default::default()
-        };
-        while let Some(data) = blk.poll_completion() {
-            r.completions += 1;
-            r.bytes += data.len() as u64;
-            r.cost += self.per_completion;
-        }
-        if r.completions > 0 {
-            self.watchdog.note_completion();
-        }
-        r
+pub fn frontend() -> Frontend {
+    // Only the costs are read: no core needs a kthread mix.
+    let profile = LinuxProfile::new(0, 0);
+    Frontend {
+        // The hardirq entry switch plus the deferred softirq pass that
+        // actually reaps.
+        irq_entry: profile.ctx_switch_cost + profile.tick_cost,
+        // skb alloc / bio endio, cgroup stats.
+        per_completion: Nanos(450),
+        // virtio-net tx watchdog / blk-mq request timeout. Jiffy-
+        // resolution timers make it far coarser than Kitten's: 4 ms,
+        // one HZ=250 tick.
+        watchdog: KickWatchdog::new(Nanos::from_micros(4000)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kh_arch::platform::Platform;
-    use kh_kitten::virtio::KittenVirtioDriver;
-    use kh_virtio::blk::BlkRequest;
+
+    #[test]
+    fn fwk_interrupt_path_is_a_switch_plus_a_softirq() {
+        let drv = frontend();
+        assert_eq!(drv.irq_entry, Nanos::from_micros(8));
+        assert_eq!(drv.per_completion, Nanos(450));
+        assert_eq!(drv.watchdog.timeout, Nanos::from_millis(4));
+    }
 
     #[test]
     fn fwk_interrupt_path_is_heavier_than_lwk() {
-        let linux = LinuxVirtioDriver::new(VmId(2), 4);
-        let kitten = KittenVirtioDriver::new(VmId(2));
-        assert!(linux.irq_entry_cost() > kitten.irq_entry_cost());
+        let linux = frontend();
+        let kitten = kh_kitten::virtio::frontend();
+        assert!(linux.irq_entry > kitten.irq_entry);
         assert!(linux.per_completion > kitten.per_completion);
         assert!(
             linux.watchdog.timeout > kitten.watchdog.timeout,
             "jiffy-resolution re-kick vs LWK microsecond watchdog"
         );
-    }
-
-    #[test]
-    fn lost_doorbell_rekicks_on_the_jiffy_scale() {
-        let mut drv = LinuxVirtioDriver::new(VmId(2), 4);
-        drv.note_kick(Nanos::ZERO);
-        assert!(!drv.should_rekick(Nanos::from_micros(3999)));
-        assert!(drv.should_rekick(Nanos::from_micros(4000)));
-        assert_eq!(drv.watchdog.rekicks, 1);
-    }
-
-    #[test]
-    fn drain_blk_reaps_and_prices() {
-        let platform = Platform::pine_a64_lts();
-        let mut blk = VirtioBlk::new(&platform, 79, 64, 0);
-        for i in 0..3u64 {
-            blk.submit(&BlkRequest::Write {
-                sector: i,
-                data: vec![i as u8; 512],
-            })
-            .unwrap();
-        }
-        blk.device_poll();
-        let mut drv = LinuxVirtioDriver::new(VmId(2), 4);
-        let r = drv.drain_blk(&mut blk);
-        assert_eq!(r.completions, 3);
-        assert_eq!(r.cost, drv.irq_entry_cost() + drv.per_completion.scaled(3));
     }
 }

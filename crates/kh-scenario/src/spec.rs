@@ -37,6 +37,7 @@
 //! every valid scenario.
 
 use core::fmt;
+use kh_sim::time::parse_duration;
 use kh_sim::Nanos;
 use kh_workloads::hpcg::{HpcgConfig, HpcgModel};
 use kh_workloads::nas::NasBenchmark;
@@ -716,20 +717,9 @@ impl fmt::Display for Scenario {
 }
 
 fn parse_time(s: &str) -> Result<Nanos, ScenarioError> {
-    let err = || ScenarioError::BadValue(format!("bad time `{s}` (want e.g. 500us, 4ms, 1200ns)"));
-    let (num, mult) = if let Some(n) = s.strip_suffix("ns") {
-        (n, 1u64)
-    } else if let Some(n) = s.strip_suffix("us") {
-        (n, 1_000)
-    } else if let Some(n) = s.strip_suffix("ms") {
-        (n, 1_000_000)
-    } else if let Some(n) = s.strip_suffix('s') {
-        (n, 1_000_000_000)
-    } else {
-        (s, 1)
-    };
-    let v: u64 = num.parse().map_err(|_| err())?;
-    v.checked_mul(mult).map(Nanos).ok_or_else(err)
+    parse_duration(s).ok_or_else(|| {
+        ScenarioError::BadValue(format!("bad time `{s}` (want e.g. 500us, 4ms, 1200ns)"))
+    })
 }
 
 fn parse_f64(s: &str, what: &str) -> Result<f64, ScenarioError> {

@@ -21,7 +21,7 @@
 //!   which the single-threaded engine makes a total order.
 
 use crate::rng::SimRng;
-use crate::time::Nanos;
+use crate::time::{parse_duration, Nanos};
 use std::fmt;
 
 /// Labels for the per-component fault streams ([`SimRng::split`]).
@@ -110,24 +110,11 @@ pub struct FaultSpec {
 }
 
 fn parse_time(s: &str) -> Result<Nanos, FaultParseError> {
-    let err = || {
+    parse_duration(s).ok_or_else(|| {
         FaultParseError(format!(
             "bad time `{s}` (want e.g. 200ms, 50us, 3s, 1200ns)"
         ))
-    };
-    let (num, mult) = if let Some(n) = s.strip_suffix("ns") {
-        (n, 1u64)
-    } else if let Some(n) = s.strip_suffix("us") {
-        (n, 1_000)
-    } else if let Some(n) = s.strip_suffix("ms") {
-        (n, 1_000_000)
-    } else if let Some(n) = s.strip_suffix('s') {
-        (n, 1_000_000_000)
-    } else {
-        (s, 1)
-    };
-    let v: u64 = num.parse().map_err(|_| err())?;
-    v.checked_mul(mult).map(Nanos).ok_or_else(err)
+    })
 }
 
 fn parse_prob(s: &str) -> Result<f64, FaultParseError> {

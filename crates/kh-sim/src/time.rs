@@ -139,6 +139,24 @@ impl fmt::Display for Nanos {
     }
 }
 
+/// Parse a duration written with a unit suffix (`1200ns`, `50us`,
+/// `200ms`, `3s`) or as a bare count of nanoseconds. `None` if the
+/// number is missing or malformed, or the value overflows.
+pub fn parse_duration(s: &str) -> Option<Nanos> {
+    let (num, mult) = if let Some(n) = s.strip_suffix("ns") {
+        (n, 1u64)
+    } else if let Some(n) = s.strip_suffix("us") {
+        (n, 1_000)
+    } else if let Some(n) = s.strip_suffix("ms") {
+        (n, 1_000_000)
+    } else if let Some(n) = s.strip_suffix('s') {
+        (n, 1_000_000_000)
+    } else {
+        (s, 1)
+    };
+    num.parse::<u64>().ok()?.checked_mul(mult).map(Nanos)
+}
+
 /// A clock frequency in hertz, used to convert cycle counts to time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Freq(pub u64);
@@ -205,6 +223,28 @@ impl fmt::Display for Freq {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn durations_parse_by_suffix() {
+        assert_eq!(parse_duration("1200ns"), Some(Nanos(1200)));
+        assert_eq!(parse_duration("50us"), Some(Nanos::from_micros(50)));
+        assert_eq!(parse_duration("200ms"), Some(Nanos::from_millis(200)));
+        assert_eq!(parse_duration("3s"), Some(Nanos::from_secs(3)));
+        assert_eq!(parse_duration("750"), Some(Nanos(750)), "bare: nanoseconds");
+        assert_eq!(parse_duration("ms"), None, "no number");
+        assert_eq!(parse_duration(""), None);
+        assert_eq!(parse_duration("5m"), None);
+        assert_eq!(parse_duration("-5ms"), None);
+        assert_eq!(
+            parse_duration("18446744073s"),
+            Some(Nanos::from_secs(18_446_744_073))
+        );
+        assert_eq!(
+            parse_duration("20000000000s"),
+            None,
+            "overflows u64 nanoseconds"
+        );
+    }
 
     #[test]
     fn constructors_agree() {

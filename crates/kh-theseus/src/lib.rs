@@ -29,7 +29,6 @@ pub mod virtio;
 
 pub use profile::TheseusProfile;
 pub use runtime::TheseusRuntime;
-pub use virtio::TheseusVirtioDriver;
 
 /// Fractional CPU-time overhead the safe-language runtime adds to
 /// service work: bounds checks, fat pointers, refcount traffic. The

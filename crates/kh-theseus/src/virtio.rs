@@ -3,151 +3,46 @@
 //! The driver is a component in the single address space: a completion
 //! interrupt vectors straight into it with no world switch and no
 //! para-virtual interrupt controller in between (there is no SPM to
-//! attach through). Entry is a plain exception-vector dispatch plus the
-//! safe-language prologue — cheaper than even Kitten's one context
-//! switch. Per-completion reap work is identical in kind (descriptor
-//! recycle, buffer handoff) but the buffers hand over as typed slices,
-//! so the per-completion constant matches Kitten's.
+//! attach through; the vector table is edited at relink time). Entry is
+//! a plain exception-vector dispatch plus the safe-language prologue —
+//! cheaper than even Kitten's one context switch. Per-completion reap
+//! work is identical in kind (descriptor recycle, buffer handoff) but
+//! the buffers hand over as typed slices, so the per-completion constant
+//! matches Kitten's.
 
-use crate::profile::TheseusProfile;
 use kh_sim::Nanos;
-use kh_virtio::blk::VirtioBlk;
-use kh_virtio::net::VirtioNet;
+use kh_virtio::frontend::Frontend;
 use kh_virtio::watchdog::KickWatchdog;
 
-/// What one completion-interrupt service pass cost and reaped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DrainReport {
-    pub completions: u64,
-    pub cost: Nanos,
-    /// Payload bytes handed to the consumer (rx frames / read data).
-    pub bytes: u64,
-}
-
-/// The frontend driver component: owns the OS-side cost of every
-/// completion. No `attach` method exists — there is no interrupt
-/// controller proxy to ask; the vector table is edited at relink time.
-#[derive(Debug, Clone)]
-pub struct TheseusVirtioDriver {
-    pub profile: TheseusProfile,
-    /// IRQ entry: exception vector + safe-language prologue. No EL
-    /// round trip, no address-space switch.
-    pub irq_entry: Nanos,
-    /// Per-completion reap cost (descriptor recycle + typed handoff).
-    pub per_completion: Nanos,
-    /// Doorbell watchdog, as tight as Kitten's: timers are cheap here
-    /// too.
-    pub watchdog: KickWatchdog,
-}
-
-impl Default for TheseusVirtioDriver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TheseusVirtioDriver {
-    pub fn new() -> Self {
-        TheseusVirtioDriver {
-            profile: TheseusProfile::default(),
-            irq_entry: Nanos(120),
-            per_completion: Nanos(150),
-            watchdog: KickWatchdog::new(Nanos::from_micros(100)),
-        }
-    }
-
-    /// The frontend rang a doorbell: arm the re-kick watchdog.
-    pub fn note_kick(&mut self, now: Nanos) {
-        self.watchdog.note_kick(now);
-    }
-
-    /// If a kick has gone unanswered past the timeout, consume the
-    /// deadline and tell the caller to ring the doorbell again.
-    pub fn should_rekick(&mut self, now: Nanos) -> bool {
-        self.watchdog.fire(now)
-    }
-
-    /// OS cost of taking one completion interrupt.
-    pub fn irq_entry_cost(&self) -> Nanos {
-        self.irq_entry
-    }
-
-    /// Service a net completion interrupt: reap rx frames and tx slots.
-    pub fn drain_net(&mut self, net: &mut VirtioNet) -> DrainReport {
-        let mut r = DrainReport {
-            cost: self.irq_entry_cost(),
-            ..Default::default()
-        };
-        while let Some(frame) = net.recv_frame() {
-            r.completions += 1;
-            r.bytes += frame.len() as u64;
-            r.cost += self.per_completion;
-        }
-        let tx = net.reap_tx();
-        r.completions += tx;
-        r.cost += self.per_completion.scaled(tx);
-        if r.completions > 0 {
-            self.watchdog.note_completion();
-        }
-        r
-    }
-
-    /// Service a blk completion interrupt: reap finished requests.
-    pub fn drain_blk(&mut self, blk: &mut VirtioBlk) -> DrainReport {
-        let mut r = DrainReport {
-            cost: self.irq_entry_cost(),
-            ..Default::default()
-        };
-        while let Some(data) = blk.poll_completion() {
-            r.completions += 1;
-            r.bytes += data.len() as u64;
-            r.cost += self.per_completion;
-        }
-        if r.completions > 0 {
-            self.watchdog.note_completion();
-        }
-        r
+/// The frontend driver component.
+pub fn frontend() -> Frontend {
+    Frontend {
+        // Exception vector + safe-language prologue. No EL round trip,
+        // no address-space switch.
+        irq_entry: Nanos(120),
+        // Descriptor recycle + typed handoff.
+        per_completion: Nanos(150),
+        // As tight as Kitten's: timers are cheap here too.
+        watchdog: KickWatchdog::new(Nanos::from_micros(100)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kh_arch::platform::Platform;
-    use kh_virtio::net::EchoBackend;
 
     #[test]
-    fn drain_reaps_everything_and_prices_it() {
-        let platform = Platform::pine_a64_lts();
-        let mut net = VirtioNet::new(&platform, 78, 64, 0);
-        let mut backend = EchoBackend::default();
-        for i in 0..4u8 {
-            net.post_rx(256).unwrap();
-            net.send_frame(&[i; 100]).unwrap();
-        }
-        net.device_poll(&mut backend);
-
-        let mut drv = TheseusVirtioDriver::new();
-        let r = drv.drain_net(&mut net);
-        assert_eq!(r.completions, 8, "4 rx frames + 4 tx slots");
-        assert_eq!(r.bytes, 400);
-        assert_eq!(r.cost, drv.irq_entry_cost() + drv.per_completion.scaled(8));
+    fn entry_is_a_vector_dispatch() {
+        let drv = frontend();
+        assert_eq!(drv.irq_entry, Nanos(120));
+        assert_eq!(drv.per_completion, Nanos(150));
+        assert_eq!(drv.watchdog.timeout, Nanos::from_micros(100));
     }
 
     #[test]
     fn entry_undercuts_the_lwk() {
         // Kitten's entry is one full context switch (1us); a same-space
         // vector dispatch must come in well under that.
-        let drv = TheseusVirtioDriver::new();
-        assert!(drv.irq_entry_cost() < Nanos::from_micros(1));
-    }
-
-    #[test]
-    fn lost_doorbell_is_rekicked_after_timeout() {
-        let mut drv = TheseusVirtioDriver::new();
-        drv.note_kick(Nanos::ZERO);
-        assert!(!drv.should_rekick(Nanos::from_micros(99)));
-        assert!(drv.should_rekick(Nanos::from_micros(100)));
-        assert_eq!(drv.watchdog.rekicks, 1);
+        assert!(frontend().irq_entry < Nanos::from_micros(1));
     }
 }

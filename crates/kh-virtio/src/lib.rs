@@ -22,6 +22,11 @@
 //!   trips, VM context switches, GIC ack/EOI, cacheline copies) every
 //!   doorbell and completion interrupt pays, priced from the platform
 //!   profile exactly as the existing `ablation_io_path` does.
+//! * [`frontend::Frontend`] — the guest side of every completion: reap
+//!   net/blk completions, price the pass by the OS's interrupt-entry and
+//!   per-completion costs, and re-kick a lost doorbell after the OS's
+//!   [`watchdog::KickWatchdog`] timeout. Each OS crate supplies its
+//!   numbers through a `virtio::frontend()` constructor.
 //!
 //! Completion interrupts flow through both of the SPM's routing modes
 //! (`IrqRoutingPolicy::AllToPrimary` forwarding via the primary vs the
@@ -30,6 +35,7 @@
 
 pub mod blk;
 pub mod cost;
+pub mod frontend;
 pub mod net;
 pub mod queue;
 pub mod timing;

@@ -8,10 +8,11 @@
 //! driver kicks, disarm when completions arrive, and if the timeout
 //! lapses with the doorbell still outstanding, ring it again.
 //!
-//! The watchdog is deliberately OS-agnostic — the Kitten and Linux
-//! frontends embed one each and differ only in the timeout they
-//! configure (a lightweight kernel can afford a tight watchdog; Linux's
-//! is coarser, matching its jiffy-resolution timers).
+//! The watchdog is deliberately OS-agnostic — every
+//! [`crate::frontend::Frontend`] embeds one, and each OS's
+//! `virtio::frontend()` sets only its timeout (a lightweight kernel or
+//! Theseus can afford a tight watchdog; Linux's is coarser, matching its
+//! jiffy-resolution timers).
 
 use kh_sim::Nanos;
 
