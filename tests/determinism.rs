@@ -821,7 +821,8 @@ mod golden {
     /// case per noise source and per caller-only event (faults,
     /// co-tenant slices, the translation replay, an injected abort or
     /// component restart, a host-tick override), and HPCG, STREAM and
-    /// NAS CG on one virtualized and one native stack each.
+    /// NAS CG on one virtualized and one native stack each, and two
+    /// native stacks running selfish twice on one machine.
     fn machine_cases() -> Vec<(&'static str, u64)> {
         use kitten_hafnium::core::config::CoTenantSlices;
         use kitten_hafnium::core::figures::DEFAULT_FAULT_SPEC;
@@ -894,6 +895,20 @@ mod golden {
             let r = m.run(w.as_mut());
             let mut sums = Vec::new();
             sums.extend_from_slice(&checksum(format!("{r:?}").as_bytes()).to_le_bytes());
+            sums.extend_from_slice(&checksum(m.trace().to_csv().as_bytes()).to_le_bytes());
+            checksum(&sums)
+        };
+        // Two runs on one machine: the second starts from the RNG state
+        // the first left, so every draw the first took is pinned too.
+        // Native stacks only: a virtualized run leaves its VCPU running.
+        let twice = |stack: StackKind, seed: u64| {
+            let mut m = Machine::new(MachineConfig::pine_a64(stack, seed));
+            m.enable_tracing(1 << 20);
+            let mut sums = Vec::new();
+            for _ in 0..2 {
+                let r = m.run(selfish(100).as_mut());
+                sums.extend_from_slice(&checksum(format!("{r:?}").as_bytes()).to_le_bytes());
+            }
             sums.extend_from_slice(&checksum(m.trace().to_csv().as_bytes()).to_le_bytes());
             checksum(&sums)
         };
@@ -1014,10 +1029,12 @@ mod golden {
                     big_gups(),
                 ),
             ),
+            ("selfish-twice-theseus", twice(StackKind::NativeTheseus, 41)),
+            ("selfish-twice-native", twice(StackKind::NativeKitten, 41)),
         ]
     }
 
-    const MACHINE_GOLDEN: [(&str, u64); 20] = [
+    const MACHINE_GOLDEN: [(&str, u64); 22] = [
         ("selfish-native", 0x5be3_8621_c032_8dfe),
         ("selfish-kitten", 0xf2ef_9710_1a7a_b03e),
         ("selfish-linux", 0xfc4b_6cf0_275d_daa5),
@@ -1038,6 +1055,8 @@ mod golden {
         ("cg-linux", 0xcd4c_4893_b377_f3a5),
         ("cg-native", 0x8fbd_3043_954f_34b7),
         ("gups-translation-linux", 0x2291_9908_7834_769a),
+        ("selfish-twice-theseus", 0xba83_b7b7_4148_8cda),
+        ("selfish-twice-native", 0x7441_2b4a_45a0_44e4),
     ];
 
     #[test]
