@@ -27,7 +27,7 @@ use kh_hafnium::hypercall::HfCall;
 use kh_hafnium::manifest::{BootManifest, VmKind, VmManifest};
 use kh_hafnium::spm::{Spm, SpmConfig};
 use kh_hafnium::vm::VmId;
-use kh_sim::{Nanos, SimRng};
+use kh_sim::{DrawAhead, Nanos, SimRng};
 use kh_workloads::{Workload, WorkloadOutput};
 
 const MB: u64 = 1 << 20;
@@ -81,7 +81,7 @@ impl ParallelReport {
 struct CoreCtx {
     now: Nanos,
     cursor: NoiseCursor,
-    jitter_rng: SimRng,
+    jitter: DrawAhead,
     stats: CoreStats,
     done: bool,
 }
@@ -188,7 +188,7 @@ impl ParallelMachine {
     /// core's VCPU; guest ticks steal their time without driving the SPM.
     fn advance(&mut self, core: u16, ctx: &mut CoreCtx, phase: &Phase, streams: u32) -> Nanos {
         let cost = self.noise.price(&self.timer, phase, streams.max(1), 1.0);
-        let work = self.noise.work(cost.time, &mut ctx.jitter_rng);
+        let work = self.noise.work_from(cost.time, &ctx.jitter.take());
         let (vm, vcpu) = self.placements[core as usize];
         let spm = &mut self.spm;
         let mut tick = |f: &Fired, now: Nanos| {
@@ -226,7 +226,7 @@ impl ParallelMachine {
                 CoreCtx {
                     now: Nanos::ZERO,
                     cursor: NoiseCursor::start(&mut self.noise, c, &mut r),
-                    jitter_rng: r.split(c as u64 + 100),
+                    jitter: DrawAhead::new(r.split(c as u64 + 100)),
                     stats: CoreStats::default(),
                     done: false,
                 }

@@ -33,6 +33,6 @@ pub use fault::{
     FabricFaultPlan, FabricFaultSpec, FabricFaultStats, FaultEvent, FaultKind, FaultPlan,
     FaultSpec, FaultStats,
 };
-pub use rng::{SimRng, SplitMix64};
+pub use rng::{DrawAhead, GaussianDraw, SimRng, SplitMix64};
 pub use time::{Freq, Nanos};
 pub use trace::{TraceCategory, TraceEvent, TraceRecorder};

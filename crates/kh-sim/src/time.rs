@@ -51,10 +51,6 @@ impl Nanos {
         self.0 / 1_000
     }
     #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
